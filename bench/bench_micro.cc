@@ -1,13 +1,16 @@
 // Experiment E8 — substrate microbenchmarks (google-benchmark).
 //
-// Throughput of the building blocks: Dijkstra, Bellman–Ford, Dinic, MCMF,
-// residual construction, auxiliary-graph construction, the bicameral
-// product-graph search, and the simplex.
+// Throughput of the building blocks: Dijkstra, Bellman–Ford, Dinic, MCMF
+// (fresh networks, and phase 1 on a reused workspace), residual
+// construction, auxiliary-graph construction, the bicameral product-graph
+// search, and the simplex.
 #include <benchmark/benchmark.h>
 
 #include "core/aux_graph.h"
 #include "core/bicameral.h"
+#include "core/phase1.h"
 #include "core/residual.h"
+#include "core/workspace.h"
 #include "flow/dinic.h"
 #include "flow/disjoint.h"
 #include "graph/generators.h"
@@ -60,6 +63,40 @@ void BM_MinCostKFlow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinCostKFlow)->Arg(64)->Arg(256)->Arg(1024);
+
+// Phase 1 (Lemma 5) on a 64x64 grid, D halfway between the delays of the
+// min-delay and the min-cost 2-flows, so the Lagrangian λ search runs. One
+// SolveWorkspace serves every iteration, as a batch-engine worker's does:
+// this times MCMF calls on a built network, where BM_MinCostKFlow builds a
+// fresh network per call.
+void BM_Phase1Lagrangian(benchmark::State& state) {
+  util::Rng rng(4096);
+  core::Instance inst;
+  inst.graph = gen::grid(rng, 64, 64);
+  inst.s = 0;
+  inst.t = inst.graph.num_vertices() - 1;
+  inst.k = 2;
+  const auto& g = inst.graph;
+  const auto min_delay = flow::min_weight_disjoint_paths(
+      g, inst.s, inst.t, inst.k, 1, g.total_cost() + 1);
+  const auto min_cost = flow::min_weight_disjoint_paths(
+      g, inst.s, inst.t, inst.k, g.total_delay() + 1, 1);
+  if (!min_delay || !min_cost ||
+      min_cost->total_delay - min_delay->total_delay < 2) {
+    state.SkipWithError("grid has no lambda-search budget");
+    return;
+  }
+  inst.delay_bound = (min_delay->total_delay + min_cost->total_delay) / 2;
+  core::SolveWorkspace ws;
+  int mcmf_calls = 0;
+  for (auto _ : state) {
+    const auto p1 = core::phase1_lagrangian(inst, {}, &ws.mcmf);
+    mcmf_calls = p1.mcmf_calls;
+    benchmark::DoNotOptimize(p1.cost);
+  }
+  state.counters["mcmf_calls"] = mcmf_calls;
+}
+BENCHMARK(BM_Phase1Lagrangian)->Unit(benchmark::kMillisecond);
 
 void BM_ResidualBuild(benchmark::State& state) {
   const auto g = make_graph(static_cast<int>(state.range(0)));

@@ -92,6 +92,8 @@ for needle in (
     'krsp_serve_requests_total{class="batch",outcome="served"}',
     'krsp_wire_requests_total{op="solve"}',
     'krsp_transport_bytes_total{direction="in"}',
+    'krsp_phase1_mcmf_calls_total ',
+    'krsp_mcmf_network_rebuilds_total ',
 ):
     assert needle in text, "metrics exposition missing: " + needle
 

@@ -1,6 +1,7 @@
 #include "core/bicameral.h"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 
 #ifdef _OPENMP
@@ -698,27 +699,46 @@ std::optional<FoundCycle> BicameralCycleFinder::find(
         std::vector<Tracker> per_anchor(na);
         std::vector<AnchorStats> per_stats(na);
 #ifdef _OPENMP
+        // No exception may leave an OpenMP region (the runtime terminates
+        // the process): the first one is kept and rethrown after it.
+        std::exception_ptr failure;
+        const auto guarded = [&failure](const auto& work) {
+          try {
+            work();
+            return true;
+          } catch (...) {
+#pragma omp critical(krsp_bicameral_failure)
+            if (!failure) failure = std::current_exception();
+            return false;
+          }
+        };
 #pragma omp parallel if (na >= 16)
         {
           FlatScratch flat;
           LegacyScratch legacy;
-          if (!pruned) legacy.resize(rounds_cap, ss.num_states());
+          const bool ready =
+              pruned ||
+              guarded([&] { legacy.resize(rounds_cap, ss.num_states()); });
 #pragma omp for schedule(dynamic)
           for (int i = 0; i < na; ++i) {
+            if (!ready) continue;
             const graph::VertexId anchor = anchors[i];
-            if (pruned) {
-              scan_anchor_flat(residual, st, budget, max_abs_cost, anchor,
-                               start_layer, anchor_rounds(anchor), query,
-                               query.enforce_cap, flat, per_anchor[i],
-                               per_stats[i]);
-            } else {
-              scan_anchor_legacy(residual, csr, ss, anchor, start_layer,
-                                 anchor_rounds(anchor), query,
-                                 query.enforce_cap, legacy, per_anchor[i],
+            guarded([&] {
+              if (pruned) {
+                scan_anchor_flat(residual, st, budget, max_abs_cost, anchor,
+                                 start_layer, anchor_rounds(anchor), query,
+                                 query.enforce_cap, flat, per_anchor[i],
                                  per_stats[i]);
-            }
+              } else {
+                scan_anchor_legacy(residual, csr, ss, anchor, start_layer,
+                                   anchor_rounds(anchor), query,
+                                   query.enforce_cap, legacy, per_anchor[i],
+                                   per_stats[i]);
+              }
+            });
           }
         }
+        if (failure) std::rethrow_exception(failure);
 #else
         {
           FlatScratch flat;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <optional>
+#include <stdexcept>
 
 #include "core/instance.h"
 #include "core/path_set.h"
@@ -32,6 +33,14 @@ enum class Phase1Status {
   kApprox,            // Lemma 5 guarantee holds; delay may exceed D
   kNoKDisjointPaths,  // graph has fewer than k disjoint s→t paths
   kInfeasible,        // k disjoint paths exist but none meet the delay bound
+};
+
+/// Phase 1 refuses an instance whose Lagrangian weights would overflow
+/// int64 (huge costs times huge total delay, or the mirror): a typed
+/// input error, thrown before the MCMF call that would have overflowed.
+class WeightOverflowError : public std::overflow_error {
+ public:
+  using std::overflow_error::overflow_error;
 };
 
 struct Phase1Result {
@@ -61,7 +70,8 @@ struct Phase1Result {
 /// so feasibility answers (kOptimal/kInfeasible/kNoKDisjointPaths) are
 /// exact regardless of the budget. `ws` (optional) reuses one min-cost-flow
 /// network across all LARAC iterations and across solves; results are
-/// identical with or without it.
+/// identical with or without it. Throws WeightOverflowError when the
+/// weights do not fit in 64-bit arithmetic.
 Phase1Result phase1_lagrangian(const Instance& inst,
                                const util::Deadline& deadline = {},
                                flow::McfWorkspace* ws = nullptr);

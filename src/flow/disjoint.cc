@@ -5,12 +5,15 @@
 
 namespace krsp::flow {
 
-std::optional<DisjointPaths> min_weight_disjoint_paths(
-    const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,
-    std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws) {
-  KRSP_OBS_SPAN("mcmf");
+namespace {
+
+std::optional<DisjointPaths> solve_bound(McfWorkspace& bound,
+                                         const graph::Digraph& g,
+                                         graph::VertexId s, graph::VertexId t,
+                                         int k, std::int64_t w_cost,
+                                         std::int64_t w_delay) {
   KRSP_CHECK(w_cost >= 0 && w_delay >= 0);
-  const auto flow = min_weight_unit_flow(g, s, t, k, w_cost, w_delay, ws);
+  const auto flow = bound.solve(g, s, t, k, w_cost, w_delay);
   if (!flow) return std::nullopt;
   auto decomposition = decompose_unit_flow(g, flow->edges, s, t, k);
   // Cycles in a *minimum-weight* flow have zero weight (else the flow were
@@ -23,6 +26,25 @@ std::optional<DisjointPaths> min_weight_disjoint_paths(
     result.total_delay += graph::path_delay(g, p);
   }
   return result;
+}
+
+}  // namespace
+
+std::optional<DisjointPaths> min_weight_disjoint_paths(
+    const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,
+    std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws) {
+  KRSP_OBS_SPAN("mcmf");
+  McfWorkspace local;
+  McfWorkspace& mcf = ws != nullptr ? *ws : local;
+  mcf.bind(g);
+  return solve_bound(mcf, g, s, t, k, w_cost, w_delay);
+}
+
+std::optional<DisjointPaths> min_weight_disjoint_paths(
+    McfWorkspace& bound, const graph::Digraph& g, graph::VertexId s,
+    graph::VertexId t, int k, std::int64_t w_cost, std::int64_t w_delay) {
+  KRSP_OBS_SPAN("mcmf");
+  return solve_bound(bound, g, s, t, k, w_cost, w_delay);
 }
 
 }  // namespace krsp::flow

@@ -28,4 +28,10 @@ std::optional<DisjointPaths> min_weight_disjoint_paths(
     const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,
     std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws = nullptr);
 
+/// Same, on a workspace already bound to g (McfWorkspace::bind), so a
+/// caller making many calls on one graph checks its topology once.
+std::optional<DisjointPaths> min_weight_disjoint_paths(
+    McfWorkspace& bound, const graph::Digraph& g, graph::VertexId s,
+    graph::VertexId t, int k, std::int64_t w_cost, std::int64_t w_delay);
+
 }  // namespace krsp::flow

@@ -1,8 +1,11 @@
 #include "flow/min_cost_flow.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <queue>
+
+#include "flow/radix_heap.h"
+#include "obs/metrics.h"
 
 namespace krsp::flow {
 
@@ -10,137 +13,235 @@ namespace {
 
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
 
-/// Structural fingerprint of a digraph (FNV-1a over sizes + endpoints).
-/// Weights are excluded on purpose: min_weight_unit_flow re-prices every
-/// arc per call, so only the topology must match for reuse to be sound.
-std::uint64_t topology_fingerprint(const graph::Digraph& g) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(g.num_vertices()));
-  mix(static_cast<std::uint64_t>(g.num_edges()));
-  for (const auto& e : g.edges()) {
-    mix(static_cast<std::uint64_t>(e.from));
-    mix(static_cast<std::uint64_t>(e.to));
-  }
-  return h;
+// Resolved once: the registry lookup takes a mutex.
+obs::Counter& network_rebuilds_counter() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("krsp_mcmf_network_rebuilds_total");
+  return c;
 }
 
 }  // namespace
 
-MinCostFlow::MinCostFlow(int num_vertices)
-    : arcs_(num_vertices), first_out_(num_vertices) {
-  KRSP_CHECK(num_vertices >= 0);
+void McfWorkspace::bind(const graph::Digraph& g) {
+  const auto edges = g.edges();
+  bool same = n_ == g.num_vertices() && from_.size() == edges.size();
+  for (std::size_t e = 0; same && e < edges.size(); ++e)
+    same = from_[e] == edges[e].from && to_[e] == edges[e].to;
+  if (same) return;
+  rebuild(g);
 }
 
-int MinCostFlow::add_arc(graph::VertexId from, graph::VertexId to,
-                         std::int64_t capacity, std::int64_t cost) {
-  KRSP_CHECK(from >= 0 && from < num_vertices());
-  KRSP_CHECK(to >= 0 && to < num_vertices());
-  KRSP_CHECK(capacity >= 0);
-  KRSP_CHECK_MSG(cost >= 0, "MinCostFlow requires non-negative arc costs");
-  const int fwd = static_cast<int>(arcs_[from].size());
-  const int bwd = static_cast<int>(arcs_[to].size()) + (from == to ? 1 : 0);
-  arcs_[from].push_back(InternalArc{to, capacity, cost, bwd});
-  arcs_[to].push_back(InternalArc{from, 0, -cost, fwd});
-  handles_.emplace_back(from, fwd);
-  original_cap_.push_back(capacity);
-  return static_cast<int>(handles_.size()) - 1;
-}
-
-void MinCostFlow::reset_flow() {
-  for (std::size_t a = 0; a < handles_.size(); ++a) {
-    const auto& [from, idx] = handles_[a];
-    InternalArc& fwd = arcs_[from][idx];
-    fwd.cap = original_cap_[a];
-    arcs_[fwd.to][fwd.rev].cap = 0;
+void McfWorkspace::rebuild(const graph::Digraph& g) {
+  const int n = g.num_vertices();
+  const int m = g.num_edges();
+  KRSP_CHECK_MSG(m <= std::numeric_limits<std::int32_t>::max() / 2,
+                 "min-cost flow: too many edges");
+  n_ = n;
+  from_.resize(m);
+  to_.resize(m);
+  first_.assign(n + 1, 0);
+  fwd_first_.assign(n + 1, 0);
+  for (graph::EdgeId e = 0; e < m; ++e) {
+    const auto& edge = g.edge(e);
+    from_[e] = edge.from;
+    to_[e] = edge.to;
+    ++first_[edge.from + 1];
+    ++first_[edge.to + 1];
+    ++fwd_first_[edge.from + 1];
   }
+  for (int v = 0; v < n; ++v) {
+    first_[v + 1] += first_[v];
+    fwd_first_[v + 1] += fwd_first_[v];
+  }
+  // Filling rows in edge-id order puts each vertex's forward and reverse
+  // arcs in edge-id order, a self-loop's forward arc before its reverse.
+  arcs_.resize(2 * static_cast<std::size_t>(m));
+  fwd_arcs_.resize(m);
+  weight_.resize(m);
+  std::vector<int> at(first_.begin(), first_.end() - 1);
+  std::vector<int> fwd_at(fwd_first_.begin(), fwd_first_.end() - 1);
+  for (graph::EdgeId e = 0; e < m; ++e) {
+    arcs_[at[from_[e]]++] = Arc{to_[e], 2 * e};
+    arcs_[at[to_[e]]++] = Arc{from_[e], 2 * e + 1};
+    fwd_arcs_[fwd_at[from_[e]]++] = Arc{to_[e], 2 * e};
+  }
+  flow_.assign(m, 0);
+  flow_degree_.assign(n, 0);
+  label_.assign(n, Label{kInf, 0});
+  parent_.assign(n, -1);
+  reached_.clear();
+  reached_.reserve(n);
+  fresh_ = true;
+  ++rebuilds_;
+  network_rebuilds_counter().inc();
 }
 
-void MinCostFlow::set_arc_cost(int arc, std::int64_t cost) {
-  KRSP_CHECK(arc >= 0 && arc < static_cast<int>(handles_.size()));
-  KRSP_CHECK_MSG(cost >= 0, "MinCostFlow requires non-negative arc costs");
-  const auto& [from, idx] = handles_[arc];
-  InternalArc& fwd = arcs_[from][idx];
-  KRSP_CHECK_MSG(fwd.cap == original_cap_[arc],
-                 "set_arc_cost on an arc carrying flow");
-  fwd.cost = cost;
-  arcs_[fwd.to][fwd.rev].cost = -cost;
+std::uint64_t McfWorkspace::write_weights(const graph::Digraph& g,
+                                          std::int64_t w_cost,
+                                          std::int64_t w_delay) {
+  const auto edges = g.edges();
+  std::uint64_t total = 0;
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    const std::int64_t w = w_cost * edges[e].cost + w_delay * edges[e].delay;
+    KRSP_CHECK_MSG(w >= 0, "min-cost flow requires non-negative weights");
+    weight_[e] = w;
+    if (__builtin_add_overflow(total, static_cast<std::uint64_t>(w), &total))
+      total = std::numeric_limits<std::uint64_t>::max();
+  }
+  return total;
 }
 
-std::optional<std::int64_t> MinCostFlow::solve(graph::VertexId s,
-                                               graph::VertexId t,
-                                               std::int64_t amount) {
-  KRSP_CHECK(s >= 0 && s < num_vertices() && t >= 0 && t < num_vertices());
-  KRSP_CHECK(s != t && amount >= 0);
-  const int n = num_vertices();
-  potential_.assign(n, 0);
-  dist_.resize(n);
-  parent_.resize(n);
-  auto& potential = potential_;
-  auto& dist = dist_;
-  auto& parent = parent_;
-  std::int64_t remaining = amount;
-  std::int64_t total_cost = 0;
+// (dist, vertex) packed into one word, dist above the vertex bits, in a
+// radix heap: integer order on the word is the contract's pop order. Used
+// whenever every label fits above the vertex bits.
+struct McfWorkspace::PackedQueue {
+  RadixHeap& heap;
+  int shift;
 
-  while (remaining > 0) {
-    // Dijkstra on reduced costs.
-    std::fill(dist.begin(), dist.end(), kInf);
-    dist[s] = 0;
-    using Item = std::pair<std::int64_t, graph::VertexId>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-    heap.emplace(0, s);
-    while (!heap.empty()) {
-      const auto [d, v] = heap.top();
-      heap.pop();
-      if (d != dist[v]) continue;
-      for (int i = 0; i < static_cast<int>(arcs_[v].size()); ++i) {
-        const InternalArc& a = arcs_[v][i];
-        if (a.cap <= 0 || potential[a.to] == kInf) continue;
-        if (potential[v] == kInf) continue;
-        const std::int64_t reduced = a.cost + potential[v] - potential[a.to];
-        KRSP_DCHECK(reduced >= 0);
-        if (d + reduced < dist[a.to]) {
-          dist[a.to] = d + reduced;
-          parent[a.to] = {v, i};
-          heap.emplace(dist[a.to], a.to);
-        }
+  void clear() { heap.clear(); }
+  [[nodiscard]] bool empty() const { return heap.empty(); }
+  void push(std::int64_t dist, graph::VertexId v) {
+    const auto bits = static_cast<std::uint64_t>(dist);
+    KRSP_DCHECK(dist >= 0 && (bits >> (64 - shift)) == 0);
+    heap.push(bits << shift | static_cast<std::uint64_t>(v));
+  }
+  HeapItem pop() {
+    const std::uint64_t key = heap.pop();
+    const std::uint64_t vertex_mask = (std::uint64_t{1} << shift) - 1;
+    return {static_cast<std::int64_t>(key >> shift),
+            static_cast<graph::VertexId>(key & vertex_mask)};
+  }
+};
+
+// The general fallback: (dist, vertex) pairs in a binary heap.
+struct McfWorkspace::WideQueue {
+  std::vector<HeapItem>& heap;
+
+  static bool after(const HeapItem& a, const HeapItem& b) { return b < a; }
+  void clear() { heap.clear(); }
+  [[nodiscard]] bool empty() const { return heap.empty(); }
+  void push(std::int64_t dist, graph::VertexId v) {
+    heap.push_back({dist, v});
+    std::push_heap(heap.begin(), heap.end(), after);
+  }
+  HeapItem pop() {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    const HeapItem top = heap.back();
+    heap.pop_back();
+    return top;
+  }
+};
+
+template <class Queue>
+bool McfWorkspace::shortest_path_round(Queue& queue, graph::VertexId s,
+                                       graph::VertexId t, bool last) {
+  Label* label = label_.data();
+  for (const graph::VertexId v : reached_) label[v].dist = kInf;
+  reached_.clear();
+  queue.clear();
+  label[s].dist = 0;
+  reached_.push_back(s);
+  queue.push(0, s);
+  const std::int64_t* weight = weight_.data();
+  while (!queue.empty()) {
+    const auto [d, v] = queue.pop();
+    if (d != label[v].dist) continue;  // stale entry
+    if (last && v == t) break;
+    const std::int64_t pv = label[v].potential;
+    const auto relax = [&](const Arc& arc, std::int64_t cost) {
+      Label& to = label[arc.to];
+      const std::int64_t reduced = cost + pv - to.potential;
+      KRSP_DCHECK(reduced >= 0);
+      if (d + reduced < to.dist) {
+        if (to.dist == kInf) reached_.push_back(arc.to);
+        to.dist = d + reduced;
+        parent_[arc.to] = arc.handle;
+        queue.push(d + reduced, arc.to);
+      }
+    };
+    if (flow_degree_[v] == 0) {
+      // No incident edge carries flow: every forward arc is residual and
+      // no reverse arc is, so the forward-only row is the residual row.
+      for (int a = fwd_first_[v]; a < fwd_first_[v + 1]; ++a)
+        relax(fwd_arcs_[a], weight[fwd_arcs_[a].handle >> 1]);
+    } else {
+      for (int a = first_[v]; a < first_[v + 1]; ++a) {
+        const Arc& arc = arcs_[a];
+        const graph::EdgeId e = arc.handle >> 1;
+        const bool reverse = (arc.handle & 1) != 0;
+        // Residual iff a forward arc carries no flow or a reverse arc's
+        // edge carries one.
+        if (flow_[e] != static_cast<std::uint8_t>(reverse)) continue;
+        relax(arc, reverse ? -weight[e] : weight[e]);
       }
     }
-    if (dist[t] == kInf) return std::nullopt;  // maxflow < amount
-
-    for (int v = 0; v < n; ++v)
-      if (dist[v] != kInf && potential[v] != kInf) potential[v] += dist[v];
-      // Unreached vertices keep stale potentials; they stay unreachable for
-      // augmenting paths because residual arcs into them from the reached
-      // region would have been relaxed.
-
-    // Bottleneck along the shortest path.
-    std::int64_t push = remaining;
-    for (graph::VertexId v = t; v != s;) {
-      const auto& [pv, pi] = parent[v];
-      push = std::min(push, arcs_[pv][pi].cap);
-      v = pv;
-    }
-    for (graph::VertexId v = t; v != s;) {
-      auto& [pv, pi] = parent[v];
-      InternalArc& a = arcs_[pv][pi];
-      a.cap -= push;
-      arcs_[a.to][a.rev].cap += push;
-      total_cost += a.cost * push;
-      v = pv;
-    }
-    remaining -= push;
   }
-  return total_cost;
+  if (label[t].dist == kInf) return false;
+  // Unreached vertices keep stale potentials; they stay unreachable for
+  // augmenting paths because residual arcs into them from the reached
+  // region would have been relaxed.
+  if (!last)
+    for (const graph::VertexId v : reached_)
+      label[v].potential += label[v].dist;
+  return true;
 }
 
-std::int64_t MinCostFlow::flow_on(int arc) const {
-  KRSP_CHECK(arc >= 0 && arc < static_cast<int>(handles_.size()));
-  const auto& [from, idx] = handles_[arc];
-  return original_cap_[arc] - arcs_[from][idx].cap;
+template <class Queue>
+bool McfWorkspace::augment_k(Queue queue, graph::VertexId s, graph::VertexId t,
+                             int k, std::int64_t& weight) {
+  for (int round = 0; round < k; ++round) {
+    if (!shortest_path_round(queue, s, t, round == k - 1))
+      return false;  // fewer than k edge-disjoint paths
+    for (graph::VertexId v = t; v != s;) {
+      const std::int32_t handle = parent_[v];
+      const graph::EdgeId e = handle >> 1;
+      const bool reverse = (handle & 1) != 0;
+      flow_[e] = reverse ? 0 : 1;
+      weight += reverse ? -weight_[e] : weight_[e];
+      const int delta = reverse ? -1 : 1;
+      flow_degree_[from_[e]] += delta;
+      flow_degree_[to_[e]] += delta;
+      v = reverse ? to_[e] : from_[e];
+    }
+  }
+  return true;
+}
+
+std::optional<UnitFlowResult> McfWorkspace::solve(const graph::Digraph& g,
+                                                  graph::VertexId s,
+                                                  graph::VertexId t, int k,
+                                                  std::int64_t w_cost,
+                                                  std::int64_t w_delay) {
+  KRSP_CHECK_MSG(n_ == g.num_vertices() &&
+                     from_.size() == static_cast<std::size_t>(g.num_edges()),
+                 "min-cost flow: solve on a graph that is not bound");
+  KRSP_CHECK(s >= 0 && s < n_ && t >= 0 && t < n_ && s != t);
+  KRSP_CHECK(k >= 1);
+  if (fresh_) {
+    fresh_ = false;
+  } else {
+    ++reuse_hits_;
+  }
+  const std::uint64_t total_weight = write_weights(g, w_cost, w_delay);
+  std::fill(flow_.begin(), flow_.end(), std::uint8_t{0});
+  std::fill(flow_degree_.begin(), flow_degree_.end(), 0);
+  for (Label& l : label_) l.potential = 0;
+
+  // Every label lies in [0, W], W the total arc weight (a label is a
+  // residual distance minus the previous round's, both sums of distinct
+  // edges' weights), so when W fits above the vertex bits the packed keys
+  // order exactly like (dist, vertex) pairs.
+  const int shift = std::bit_width(static_cast<unsigned>(n_ - 1));
+  const bool packed = total_weight < (std::uint64_t{1} << (64 - shift));
+  UnitFlowResult result;
+  const bool found =
+      packed
+          ? augment_k(PackedQueue{radix_heap_, shift}, s, t, k, result.weight)
+          : augment_k(WideQueue{wide_heap_}, s, t, k, result.weight);
+  if (!found) return std::nullopt;
+  for (std::size_t e = 0; e < flow_.size(); ++e)
+    if (flow_[e] != 0) result.edges.push_back(static_cast<graph::EdgeId>(e));
+  return result;
 }
 
 std::optional<UnitFlowResult> min_weight_unit_flow(const graph::Digraph& g,
@@ -149,57 +250,10 @@ std::optional<UnitFlowResult> min_weight_unit_flow(const graph::Digraph& g,
                                                    std::int64_t w_cost,
                                                    std::int64_t w_delay,
                                                    McfWorkspace* ws) {
-  KRSP_CHECK(k >= 1);
-  const auto arc_weight = [&](const graph::Edge& e) {
-    return w_cost * e.cost + w_delay * e.delay;
-  };
-
-  MinCostFlow* mcf = nullptr;
-  const std::vector<int>* handle = nullptr;
-  std::optional<MinCostFlow> local_mcf;
-  std::vector<int> local_handle;
-  if (ws != nullptr) {
-    const std::uint64_t fp = topology_fingerprint(g);
-    if (ws->mcf_ && ws->fingerprint_ == fp &&
-        ws->mcf_->num_vertices() == g.num_vertices() &&
-        static_cast<int>(ws->handles_.size()) == g.num_edges()) {
-      // Same topology as the cached network: drain flow and re-price.
-      ws->mcf_->reset_flow();
-      for (graph::EdgeId e = 0; e < g.num_edges(); ++e)
-        ws->mcf_->set_arc_cost(ws->handles_[e], arc_weight(g.edge(e)));
-      ++ws->reuse_hits_;
-    } else {
-      ws->mcf_.emplace(g.num_vertices());
-      ws->handles_.assign(g.num_edges(), 0);
-      for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-        const auto& edge = g.edge(e);
-        ws->handles_[e] =
-            ws->mcf_->add_arc(edge.from, edge.to, 1, arc_weight(edge));
-      }
-      ws->fingerprint_ = fp;
-      ++ws->rebuilds_;
-    }
-    mcf = &*ws->mcf_;
-    handle = &ws->handles_;
-  } else {
-    local_mcf.emplace(g.num_vertices());
-    local_handle.resize(g.num_edges());
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto& edge = g.edge(e);
-      local_handle[e] =
-          local_mcf->add_arc(edge.from, edge.to, 1, arc_weight(edge));
-    }
-    mcf = &*local_mcf;
-    handle = &local_handle;
-  }
-
-  const auto cost = mcf->solve(s, t, k);
-  if (!cost) return std::nullopt;
-  UnitFlowResult result;
-  result.weight = *cost;
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e)
-    if (mcf->flow_on((*handle)[e]) > 0) result.edges.push_back(e);
-  return result;
+  McfWorkspace local;
+  McfWorkspace& mcf = ws != nullptr ? *ws : local;
+  mcf.bind(g);
+  return mcf.solve(g, s, t, k, w_cost, w_delay);
 }
 
 }  // namespace krsp::flow

@@ -1,6 +1,6 @@
 // Sharded LRU cache of solve results, keyed by a full request fingerprint.
 //
-// The engine's per-worker McfWorkspace already fingerprints graph
+// The engine's per-worker McfWorkspace already recognises a repeated graph
 // *topology* to reuse the MCMF arc structure across solves; the result
 // cache extends that idea to the whole request: topology PLUS edge
 // weights (costs and delays) PLUS the query parameters (s, t, k, D, mode,

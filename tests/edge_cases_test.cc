@@ -5,8 +5,8 @@
 
 #include "core/solver.h"
 #include "flow/dinic.h"
-#include "flow/min_cost_flow.h"
 #include "graph/generators.h"
+#include "oracles/min_cost_flow.h"
 #include "paths/pareto.h"
 #include "paths/rsp.h"
 #include "util/rng.h"

@@ -1,4 +1,4 @@
-#include "flow/min_cost_flow.h"
+#include "oracles/min_cost_flow.h"
 
 #include <gtest/gtest.h>
 

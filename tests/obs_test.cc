@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "api/krsp.h"
+#include "core/phase1.h"
+#include "flow/min_cost_flow.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "util/rng.h"
@@ -190,6 +192,40 @@ TEST(ObsRegistry, ExpositionCarriesPerClassP99) {
     EXPECT_NO_THROW(static_cast<void>(std::stod(line.substr(space + 1))))
         << line;
   }
+}
+
+TEST(ObsRegistry, Phase1WorkIsExported) {
+  Registry& reg = Registry::global();
+  Counter& calls = reg.counter("krsp_phase1_mcmf_calls_total");
+  Counter& rebuilds = reg.counter("krsp_mcmf_network_rebuilds_total");
+  const std::uint64_t calls_before = calls.value();
+  const std::uint64_t rebuilds_before = rebuilds.value();
+  // Cheap-but-slow vs fast-but-dear routes with D between them, so the
+  // Lagrangian λ search runs past its two bracketing calls.
+  core::Instance inst;
+  inst.graph.resize(4);
+  inst.graph.add_edge(0, 1, 1, 10);
+  inst.graph.add_edge(1, 3, 1, 10);
+  inst.graph.add_edge(0, 2, 10, 1);
+  inst.graph.add_edge(2, 3, 10, 1);
+  inst.s = 0;
+  inst.t = 3;
+  inst.k = 1;
+  inst.delay_bound = 11;
+  flow::McfWorkspace ws;
+  const auto first = core::phase1_lagrangian(inst, {}, &ws);
+  const auto second = core::phase1_lagrangian(inst, {}, &ws);
+  EXPECT_GT(first.mcmf_calls, 2);
+  EXPECT_EQ(calls.value() - calls_before,
+            static_cast<std::uint64_t>(first.mcmf_calls + second.mcmf_calls));
+  // One network for both solves: the second binds the same topology.
+  EXPECT_EQ(rebuilds.value() - rebuilds_before, 1u);
+  const std::string text = reg.render_prometheus();
+  EXPECT_NE(text.find("# TYPE krsp_phase1_mcmf_calls_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nkrsp_phase1_mcmf_calls_total "), std::string::npos);
+  EXPECT_NE(text.find("\nkrsp_mcmf_network_rebuilds_total "),
+            std::string::npos);
 }
 
 TEST(ObsRegistry, SameKeyYieldsSameMetric) {

@@ -1,7 +1,7 @@
 // Fleet front tier: routes solve traffic across N krsp_serve shards.
 //
-//   $ krsp_router --socket=/tmp/krsp-router.sock \
-//                 --shards=/tmp/shard-a.sock,127.0.0.1:4701 \
+//   $ krsp_router --socket=/tmp/krsp-router.sock
+//                 --shards=/tmp/shard-a.sock,127.0.0.1:4701
 //                 [--catalog=DIR] [--vnodes=128] [--probe-interval-ms=200]
 //                 [--mark-down-after=3] [--mark-up-after=2]
 //                 [--forward-timeout-ms=0] [--forward-retries=0]

@@ -22,6 +22,30 @@ foreach(mode scaled exact phase1)
   endif()
 endforeach()
 
+# Phase 1's lexicographic weights (total delay + 1) * cost + delay overflow
+# int64 on this valid instance: every mode must report phase 1's typed
+# overflow error as a failed status, never a failed library check.
+set(overflow "${WORK_DIR}/phase1_overflow.kri")
+file(WRITE ${overflow} "c phase-1 weight overflow regression
+p krsp 4 4
+a 0 1 3000000000 3000000000
+a 1 3 3000000000 1
+a 0 2 1 3000000000
+a 2 3 1 3000000000
+q 0 3 2 4000000000
+")
+foreach(mode phase1 exact)
+  execute_process(
+    COMMAND ${KRSP_SOLVE} --instance=${overflow} --mode=${mode}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT out MATCHES "status: failed \\(phase 1: Lagrangian weights overflow")
+    message(FATAL_ERROR "overflow instance, ${mode}: no typed error (${rc}): ${out}${err}")
+  endif()
+  if(out MATCHES "KRSP_CHECK")
+    message(FATAL_ERROR "overflow instance, ${mode}: library check failed: ${out}")
+  endif()
+endforeach()
+
 # Back-compat: --eps must still be accepted, and the split knobs alongside.
 execute_process(
   COMMAND ${KRSP_SOLVE} --instance=${instance} --eps=0.5
