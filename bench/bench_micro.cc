@@ -15,6 +15,7 @@
 #include "flow/disjoint.h"
 #include "graph/generators.h"
 #include "lp/simplex.h"
+#include "oracles/bicameral_reference.h"
 #include "paths/bellman_ford.h"
 #include "paths/dijkstra.h"
 #include "util/rng.h"
@@ -123,9 +124,9 @@ void BM_AuxGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_AuxGraphBuild)->Arg(8)->Arg(32)->Arg(128);
 
-// Bicameral search over capped/uncapped queries × pruned/ablation kernels.
-// range(0) = n; range(1): 0 = capped, 1 = uncapped; range(2): 0 = pruned,
-// 1 = disable_pruning (full state space, legacy nested tables).
+// Bicameral search over capped/uncapped queries × production/reference
+// kernels. range(0) = n; range(1): 0 = capped, 1 = uncapped; range(2):
+// 0 = production find, 1 = the full-state-space reference in tests/oracles.
 void BM_BicameralSearch(benchmark::State& state) {
   util::Rng rng(777);
   const auto g = gen::erdos_renyi(rng, static_cast<int>(state.range(0)),
@@ -143,20 +144,21 @@ void BM_BicameralSearch(benchmark::State& state) {
   q.cap = 20;
   q.ratio = util::Rational(-1, 4);
   q.enforce_cap = state.range(1) == 0;
-  core::BicameralCycleFinder::Options opt;
-  opt.disable_pruning = state.range(2) != 0;
-  const core::BicameralCycleFinder finder(opt);
+  const bool reference = state.range(2) != 0;
+  const core::BicameralCycleFinder finder;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(finder.find(residual, q));
+    benchmark::DoNotOptimize(reference
+                                 ? core::bicameral_find_reference(residual, q)
+                                 : finder.find(residual, q));
   }
 }
 BENCHMARK(BM_BicameralSearch)
-    ->ArgNames({"n", "uncapped", "ablation"})
+    ->ArgNames({"n", "uncapped", "reference"})
     // Pruned kernel across sizes, capped (the production query shape).
     ->Args({12, 0, 0})
     ->Args({20, 0, 0})
     ->Args({32, 0, 0})
-    // Ablation counterparts.
+    // Reference counterparts.
     ->Args({12, 0, 1})
     ->Args({20, 0, 1})
     ->Args({32, 0, 1})

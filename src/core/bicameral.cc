@@ -1,12 +1,8 @@
 #include "core/bicameral.h"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include <sstream>
 
 #include "graph/algorithms.h"
 #include "graph/csr.h"
@@ -20,7 +16,7 @@ namespace {
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
 
 // ---------------------------------------------------------------------------
-// Shared per-find structure analysis.
+// Per-find structure analysis.
 //
 // Seed-anchor theorem (the basis of the pruning; proof sketch, full
 // statement in DESIGN.md §3):
@@ -51,34 +47,21 @@ constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
 // what Lemmas 11/12 need — any qualifying cycle sustains the cancelling
 // progress; no specific cycle is required.
 //
-// Per-anchor round bound (both modes): the witness cycles of Lemmas 11/12
-// (components of optimal ⊕ current) are simple and, like every cycle,
-// confined to one SCC, so min(max_rounds, |SCC(anchor)|) rounds reach them
-// all.
+// Per-anchor round bound: the witness cycles of Lemmas 11/12 (components
+// of optimal ⊕ current) are simple and, like every cycle, confined to one
+// SCC, so min(max_rounds, |SCC(anchor)|) rounds reach them all.
 //
-// Execution modes:
-//   pruned (default): scans only the seed anchors whose SCC has an internal
-//     negative arc; each anchor's DP runs on its own SCC with compacted
-//     vertex ids (|scc|·(B+1) states) using flat rolling dist rows and
-//     packed parent records (FlatScratch).
-//   ablation (disable_pruning): the pre-rewrite execution cost — every
-//     vertex is scanned as an anchor over the full n·(B+1) state space with
-//     the legacy eagerly-cleared nested-vector tables (LegacyScratch). Both
-//     modes select from the SAME candidate set: only seed-anchored
-//     trackers are merged. Non-seed scans are timed but their candidates
-//     deliberately discarded — a non-seed rotation can fit a smaller
-//     budget than the seed rotation of the same cycle (see above), so
-//     merging them would surface cycles a doubling pass earlier and the
-//     modes would return different (equally qualifying) cycles. Under the
-//     seed-only selection contract the modes are bit-identical by
-//     construction, and the equality the tests enforce is the meaningful
-//     one: the flat compacted kernel is execution-equivalent to the legacy
-//     full-state kernel at every shared anchor. Cross-SCC arcs never write
-//     intra-SCC states in an anchored scan (a walk that leaves the
-//     anchor's SCC cannot return), and the compacted member order
-//     (ascending global id) preserves the relative relaxation order of
-//     intra-SCC arcs, so first-writer tie-breaking — and hence every
-//     harvested walk — matches exactly.
+// Execution: only the seed anchors whose SCC has an internal negative arc
+// are scanned; each anchor's DP runs on its own SCC with compacted vertex
+// ids (|scc|·(B+1) states) using flat rolling dist rows and packed parent
+// records (FlatScratch). The pre-rewrite kernel — every vertex anchored
+// over the full n·(B+1) state space, only seed anchors' candidates kept —
+// lives on as a test and bench oracle (tests/oracles/bicameral_reference).
+// The two are bit-identical: cross-SCC arcs never write intra-SCC states in
+// an anchored scan (a walk that leaves the anchor's SCC cannot return), and
+// the compacted member order (ascending global id) preserves the relative
+// relaxation order of intra-SCC arcs, so first-writer tie-breaking — and
+// hence every harvested walk — matches exactly.
 // ---------------------------------------------------------------------------
 struct Structure {
   graph::SccPartition scc;
@@ -86,73 +69,52 @@ struct Structure {
   // Compact intra-SCC adjacency for member position p (= scc.members[p]):
   // arcs[arc_first[p]..arc_first[p+1]) with .to holding the *local* id of
   // the target. Only populated for components with an internal negative arc
-  // (the only ones the pruned kernel scans); global CSR order is preserved
-  // within each member so relaxation tie-breaks match the legacy scan.
+  // (the only ones scanned); global CSR order is preserved within each
+  // member so relaxation tie-breaks match the full-state-space scan.
   std::vector<int> arc_first;
   std::vector<graph::CsrView::Arc> arcs;
-  // Seed anchors per sign (0: heads, 1: tails of negative arcs), ascending.
-  // pruned_seeds additionally drops anchors whose SCC has no internal
-  // negative arc — provably barren. The pruned kernel scans pruned_seeds
-  // only; the ablation scans every vertex but merges only the pruned_seeds
-  // prefix of its anchor order (see the selection-rule comment above).
+  // Seed anchors per sign (0: heads, 1: tails of negative arcs) whose SCC
+  // has an internal negative arc, ascending. Seeds in other SCCs are
+  // provably barren and never scanned.
   std::vector<graph::VertexId> seeds[2];
-  std::vector<graph::VertexId> pruned_seeds[2];
   std::int64_t sccs_skipped = 0;  // barren components holding >= 1 seed
-  std::vector<char> seed_mark[2];  // build-time scratch, kept for reuse
+  std::vector<char> seed_mark;    // bit s: seed of sign s; kept for reuse
 
-  // Anchor order for the ablation: the pruned seed anchors first, in the
-  // exact order the pruned scan uses, then every remaining vertex ascending.
-  [[nodiscard]] std::vector<graph::VertexId> ablation_order(int sign) const {
-    const int n = static_cast<int>(scc.component.size());
-    std::vector<char> is_seed(n, 0);
-    for (const graph::VertexId v : pruned_seeds[sign]) is_seed[v] = 1;
-    std::vector<graph::VertexId> order = pruned_seeds[sign];
-    order.reserve(n);
-    for (graph::VertexId v = 0; v < n; ++v)
-      if (!is_seed[v]) order.push_back(v);
-    return order;
-  }
-
-  void build(const ResidualGraph& residual, const graph::CsrView& csr) {
+  void build(const ResidualGraph& residual) {
     const graph::Digraph& rg = residual.digraph();
+    const graph::CsrView csr(rg);
     const int n = rg.num_vertices();
     scc = graph::scc_partition(rg);
     comp_has_negative.assign(scc.num_components, 0);
-    seed_mark[0].assign(n, 0);
-    seed_mark[1].assign(n, 0);
+    seed_mark.assign(n, 0);
     for (const graph::EdgeId e : residual.negative_arcs()) {
       const auto& edge = rg.edge(e);
-      seed_mark[0][edge.to] = 1;
-      seed_mark[1][edge.from] = 1;
+      seed_mark[edge.to] |= 1;
+      seed_mark[edge.from] |= 2;
       if (scc.component[edge.from] == scc.component[edge.to])
         comp_has_negative[scc.component[edge.from]] = 1;
     }
-    for (int sign = 0; sign < 2; ++sign) {
-      seeds[sign].clear();
-      pruned_seeds[sign].clear();
-      for (graph::VertexId v = 0; v < n; ++v) {
-        if (!seed_mark[sign][v]) continue;
-        seeds[sign].push_back(v);
-        if (comp_has_negative[scc.component[v]])
-          pruned_seeds[sign].push_back(v);
-      }
-    }
-    // Count barren components exactly once each (a component may hold many
-    // seeds of both signs).
+    // Barren components are counted exactly once each (a component may
+    // hold many seeds of both signs): the first seed marks its component 2.
+    seeds[0].clear();
+    seeds[1].clear();
     sccs_skipped = 0;
-    for (int sign = 0; sign < 2; ++sign) {
-      for (const graph::VertexId v : seeds[sign]) {
-        const int c = scc.component[v];
-        if (comp_has_negative[c] == 0) {
-          comp_has_negative[c] = 2;  // mark counted (still falsy via == 1)
-          ++sccs_skipped;
-        }
+    for (graph::VertexId v = 0; v < n; ++v) {
+      if (seed_mark[v] == 0) continue;
+      char& flag = comp_has_negative[scc.component[v]];
+      if (flag == 1) {
+        for (int sign = 0; sign < 2; ++sign)
+          if ((seed_mark[v] >> sign) & 1) seeds[sign].push_back(v);
+      } else if (flag == 0) {
+        flag = 2;
+        ++sccs_skipped;
       }
     }
     for (auto& flag : comp_has_negative)
       if (flag == 2) flag = 0;
     // Compact adjacency in member-position order == ascending global id
-    // within each component == the legacy scan's relative relaxation order.
+    // within each component == the full-state-space scan's relative
+    // relaxation order.
     arc_first.assign(n + 1, 0);
     arcs.clear();
     for (int p = 0; p < n; ++p) {
@@ -170,12 +132,12 @@ struct Structure {
   }
 };
 
-// Flat DP tables for the pruned kernel: two rolling dist rows (the
-// exactly-j-edges DP only ever reads row j−1 while writing row j) plus one
-// packed parent record per (round, state). Parent entries are only read for
-// states whose dist was written in the current scan, so they need no
-// clearing; dist rows are cleared lazily, one row per round, instead of the
-// legacy (rounds+1)·num_states eager wipe per anchor.
+// Flat DP tables: two rolling dist rows (the exactly-j-edges DP only ever
+// reads row j−1 while writing row j) plus one packed parent record per
+// (round, state). Parent entries are only read for states whose dist was
+// written in the current scan, so they need no clearing; dist rows are
+// cleared lazily, one row per round, instead of an eager
+// (rounds+1)·num_states wipe per anchor.
 struct FlatScratch {
   struct ParentRec {
     std::int32_t state;
@@ -196,61 +158,12 @@ struct FlatScratch {
     if (parent.size() < need_parent) parent.resize(need_parent);
   }
 
-  [[nodiscard]] static std::int64_t bytes(int rounds, int num_states) {
-    return static_cast<std::int64_t>(num_states) *
-           (2 * static_cast<std::int64_t>(sizeof(std::int64_t)) +
-            static_cast<std::int64_t>(rounds) * sizeof(ParentRec));
-  }
-};
-
-// Flattened (vertex, layer) product state over the full vertex set — the
-// ablation's view of the DP.
-struct StateSpace {
-  int n = 0;
-  graph::Cost budget = 0;
-
-  [[nodiscard]] int num_states() const {
-    return static_cast<int>(n * (budget + 1));
-  }
-  [[nodiscard]] int state(graph::VertexId v, graph::Cost layer) const {
-    return static_cast<int>(v * (budget + 1) + layer);
-  }
-};
-
-// Legacy nested-vector tables, eagerly cleared per anchor — kept verbatim as
-// the disable_pruning ablation so bench_kernel measures the real before/after
-// of the flat kernel.
-struct LegacyScratch {
-  std::vector<std::vector<std::int64_t>> dist;
-  std::vector<std::vector<int>> parent_state;
-  std::vector<std::vector<graph::EdgeId>> parent_edge;
-  std::vector<std::int64_t> best_seen;
-  std::vector<graph::EdgeId> walk;
-
-  int rounds = -1;
-  int num_states = -1;
-
-  void resize(int new_rounds, int new_num_states) {
-    if (new_rounds != rounds || new_num_states != num_states) {
-      dist.assign(new_rounds + 1,
-                  std::vector<std::int64_t>(new_num_states, kInf));
-      parent_state.assign(new_rounds + 1, std::vector<int>(new_num_states, -1));
-      parent_edge.assign(
-          new_rounds + 1,
-          std::vector<graph::EdgeId>(new_num_states, graph::kInvalidEdge));
-      rounds = new_rounds;
-      num_states = new_num_states;
-    }
-  }
-
-  void reset() {
-    for (auto& row : dist) std::fill(row.begin(), row.end(), kInf);
-  }
-
-  [[nodiscard]] std::int64_t bytes() const {
-    return static_cast<std::int64_t>(rounds + 1) * num_states *
-           static_cast<std::int64_t>(sizeof(std::int64_t) + sizeof(int) +
-                                     sizeof(graph::EdgeId));
+  // 128-bit so that the size check runs before anything can overflow.
+  [[nodiscard]] static util::Int128 bytes(int rounds,
+                                          util::Int128 num_states) {
+    return num_states *
+           (2 * static_cast<util::Int128>(sizeof(std::int64_t)) +
+            static_cast<util::Int128>(rounds) * sizeof(ParentRec));
   }
 };
 
@@ -261,8 +174,7 @@ struct AnchorStats {
 };
 
 // Candidate tracker with deterministic preference: type-0 wins outright,
-// then best (most useful) ratio per type. Merging trackers in a fixed
-// order keeps the parallel scan's result identical to the serial one.
+// then best (most useful) ratio per type, the earliest candidate on ties.
 struct Tracker {
   std::optional<FoundCycle> type0;
   std::optional<FoundCycle> t1;
@@ -312,8 +224,7 @@ struct Tracker {
 };
 
 // Decomposes the closed walk reconstructed into `walk` and feeds qualifying
-// cycles into the tracker. Shared by both kernels so classification cannot
-// drift between them.
+// cycles into the tracker.
 void classify_walk(const ResidualGraph& residual,
                    std::vector<graph::EdgeId>& walk,
                    const BicameralQuery& query, Tracker& tracker,
@@ -329,36 +240,44 @@ void classify_walk(const ResidualGraph& residual,
   }
 }
 
-// Pruned kernel: anchored layered Bellman–Ford for one (anchor, sign) pair
-// on the anchor's SCC with compacted vertex ids and flat rolling tables.
+// Anchored layered Bellman–Ford for one (anchor, sign) pair on the
+// anchor's SCC with compacted vertex ids and flat rolling tables.
 // Candidates are harvested after every round; when `stop_on_first` is set
 // (the capped algorithm — any qualifying cycle suffices for Lemma 12) the
 // DP stops as soon as this anchor has produced one. The per-anchor decision
-// never depends on other anchors, so the parallel scan stays deterministic.
-void scan_anchor_flat(const ResidualGraph& residual, const Structure& st,
-                      graph::Cost budget, graph::Cost max_abs_cost,
-                      graph::VertexId anchor, graph::Cost start_layer,
-                      int rounds, const BicameralQuery& query,
-                      bool stop_on_first, FlatScratch& t, Tracker& tracker,
-                      AnchorStats& stats) {
+// never depends on other anchors. Throws DpLimitError, before allocating,
+// when the tables would exceed kMaxDpBytes. Kept out of line: inlined into
+// find(), its only caller, the same solves measured 5–15% slower.
+[[gnu::noinline]] void scan_anchor_flat(
+    const ResidualGraph& residual, const Structure& st, graph::Cost budget,
+    graph::Cost max_abs_cost, graph::VertexId anchor, graph::Cost start_layer,
+    int rounds, const BicameralQuery& query, bool stop_on_first,
+    FlatScratch& t, Tracker& tracker, AnchorStats& stats) {
   const int c = st.scc.component[anchor];
   const int s = st.scc.component_size(c);
   const int base = st.scc.comp_first[c];
-  const std::int64_t bp1 = static_cast<std::int64_t>(budget) + 1;
-  const std::int64_t wide_states = static_cast<std::int64_t>(s) * bp1;
-  KRSP_CHECK_MSG(wide_states <= std::numeric_limits<std::int32_t>::max(),
-                 "bicameral DP state space exceeds 2^31 states");
+  const util::Int128 wide_states =
+      static_cast<util::Int128>(s) * (static_cast<util::Int128>(budget) + 1);
+  const util::Int128 need = FlatScratch::bytes(rounds, wide_states);
+  if (need > BicameralCycleFinder::kMaxDpBytes) {
+    std::ostringstream os;
+    os << "bicameral DP tables for budget " << budget << " on a " << s
+       << "-vertex SCC over " << rounds << " rounds exceed the "
+       << (BicameralCycleFinder::kMaxDpBytes >> 20) << " MiB limit";
+    throw DpLimitError(os.str());
+  }
+  // The limit keeps every index below 2^31 (at least 16 bytes per state).
+  const std::int64_t bp1 = budget + 1;
   const int num_states = static_cast<int>(wide_states);
   t.ensure(rounds, num_states);
-  stats.dp_bytes =
-      std::max(stats.dp_bytes, FlatScratch::bytes(rounds, num_states));
+  stats.dp_bytes = std::max(stats.dp_bytes, static_cast<std::int64_t>(need));
 
   // Reachable-layer window after j rounds: every arc shifts the cost prefix
   // by at most max|c| and the DP clips layers to [0, budget], so round j
   // can only populate layers within j·max|c| of the start layer. States
   // outside the window provably hold dist = ∞, which lets the relax, clear
   // and harvest loops skip them without changing any result — the big
-  // per-round saving over the legacy kernel's full 0..budget sweeps.
+  // per-round saving over full 0..budget sweeps.
   const auto window_lo = [&](int j) -> graph::Cost {
     const util::Int128 reach = static_cast<util::Int128>(j) * max_abs_cost;
     if (reach >= start_layer) return 0;
@@ -452,85 +371,11 @@ void scan_anchor_flat(const ResidualGraph& residual, const Structure& st,
   }
 }
 
-// Ablation kernel: the same (anchor, sign) scan on the full n·(budget+1)
-// state space with the legacy eagerly-cleared nested tables. Harvests the
-// exact same walks as scan_anchor_flat (see the Structure comment for the
-// equivalence argument).
-void scan_anchor_legacy(const ResidualGraph& residual,
-                        const graph::CsrView& csr, const StateSpace& ss,
-                        graph::VertexId anchor, graph::Cost start_layer,
-                        int rounds, const BicameralQuery& query,
-                        bool stop_on_first, LegacyScratch& scratch,
-                        Tracker& tracker, AnchorStats& stats) {
-  const int n = residual.digraph().num_vertices();
-  scratch.reset();
-  stats.dp_bytes = std::max(stats.dp_bytes, scratch.bytes());
-  const int start = ss.state(anchor, start_layer);
-  scratch.dist[0][start] = 0;
-
-  auto& best_seen = scratch.best_seen;
-  best_seen.assign(ss.budget + 1, kInf);
-
-  const auto harvest = [&](int j, graph::Cost l) {
-    ++stats.walks;
-    auto& walk = scratch.walk;
-    walk.clear();
-    int state = ss.state(anchor, l);
-    for (int step = j; step > 0; --step) {
-      const graph::EdgeId e = scratch.parent_edge[step][state];
-      KRSP_CHECK(e != graph::kInvalidEdge);
-      walk.push_back(e);
-      state = scratch.parent_state[step][state];
-    }
-    KRSP_CHECK(state == start);
-    std::reverse(walk.begin(), walk.end());
-    classify_walk(residual, walk, query, tracker, stats);
-  };
-
-  for (int j = 1; j <= rounds; ++j) {
-    bool any = false;
-    const auto& prev = scratch.dist[j - 1];
-    auto& cur = scratch.dist[j];
-    for (graph::VertexId u = 0; u < n; ++u) {
-      const auto arcs = csr.out(u);
-      if (arcs.empty()) continue;
-      for (graph::Cost l = 0; l <= ss.budget; ++l) {
-        const std::int64_t base = prev[ss.state(u, l)];
-        if (base == kInf) continue;
-        for (const auto& arc : arcs) {
-          const graph::Cost l2 = l + arc.cost;
-          if (l2 < 0 || l2 > ss.budget) continue;
-          const int to = ss.state(arc.to, l2);
-          const std::int64_t nd = base + arc.delay;
-          if (nd < cur[to]) {
-            cur[to] = nd;
-            scratch.parent_state[j][to] = ss.state(u, l);
-            scratch.parent_edge[j][to] = arc.id;
-            any = true;
-          }
-        }
-      }
-    }
-    if (!any) break;
-    for (graph::Cost l = 0; l <= ss.budget; ++l) {
-      const std::int64_t dj = cur[ss.state(anchor, l)];
-      if (dj >= best_seen[l]) continue;
-      best_seen[l] = dj;
-      const graph::Cost walk_cost = l - start_layer;
-      if (!(dj < 0 || walk_cost < 0)) continue;
-      harvest(j, l);
-    }
-    if (tracker.type0 || (stop_on_first && (tracker.t1 || tracker.t2)))
-      return;
-  }
-}
-
 }  // namespace
 
 struct BicameralWorkspace::Impl {
   Structure structure;
   FlatScratch flat;
-  LegacyScratch legacy;
 };
 
 BicameralWorkspace::BicameralWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -565,18 +410,15 @@ std::optional<FoundCycle> BicameralCycleFinder::find(
   const graph::Digraph& rg = residual.digraph();
   const int n = rg.num_vertices();
   // No negative residual arc ⇒ no qualifying cycle at any budget (its
-  // negative total cost or delay would need a negative term). A semantic
-  // fact, not an execution shortcut, so both execution modes share it.
+  // negative total cost or delay would need a negative term).
   if (residual.negative_arcs().empty()) return std::nullopt;
 
-  const graph::CsrView csr(rg);
-  const bool pruned = !options_.disable_pruning;
-
-  // Per-find structure analysis, shared read-only by every scan below.
-  Structure local_structure;
-  Structure& st = ws != nullptr ? ws->impl().structure : local_structure;
-  st.build(residual, csr);
-  if (stats != nullptr && pruned) stats->sccs_skipped += st.sccs_skipped;
+  std::optional<BicameralWorkspace> local_ws;
+  if (ws == nullptr) ws = &local_ws.emplace();
+  Structure& st = ws->impl().structure;
+  FlatScratch& flat = ws->impl().flat;
+  st.build(residual);
+  if (stats != nullptr) stats->sccs_skipped += st.sccs_skipped;
 
   // Global round cap; each anchor is further bounded by its SCC size (the
   // witness cycles of Lemmas 11/12 are simple and SCC-confined).
@@ -632,143 +474,28 @@ std::optional<FoundCycle> BicameralCycleFinder::find(
     // rotation works and the negative-delay arc's head is a seed).
     const int num_signs = budget == 0 ? 1 : 2;
     for (int sign = 0; sign < num_signs; ++sign) {
-      // One anchor DP batch: every anchor of this (budget, sign) pass,
-      // serial or OpenMP, timed from the driver thread.
+      // One anchor DP batch: every anchor of this (budget, sign) pass.
       KRSP_OBS_SPAN("anchor_dp_batch");
       const graph::Cost start_layer = sign == 0 ? 0 : budget;
-      // Pruned mode scans only the seed anchors; the ablation scans every
-      // vertex (the pre-rewrite execution cost), ordered seeds-first so the
-      // merge below consults exactly the candidates the pruned scan sees.
-      std::vector<graph::VertexId> ablation_anchors;
-      if (!pruned) ablation_anchors = st.ablation_order(sign);
-      const std::vector<graph::VertexId>& anchors =
-          pruned ? st.pruned_seeds[sign] : ablation_anchors;
-      const int na = static_cast<int>(anchors.size());
-      const int num_seeds = static_cast<int>(st.pruned_seeds[sign].size());
-      if (stats != nullptr) stats->anchors_pruned += n - na;
-
-      StateSpace ss{n, budget};
-      if (!pruned) {
-        KRSP_CHECK_MSG(
-            static_cast<std::int64_t>(n) * (static_cast<std::int64_t>(budget) +
-                                            1) <=
-                std::numeric_limits<std::int32_t>::max(),
-            "bicameral DP state space exceeds 2^31 states");
-      }
-
-      // Anchors are independent: scan them in parallel with per-thread
-      // scratch, then merge per-anchor trackers in anchor order so the
-      // outcome is identical to the serial scan. A caller-supplied
-      // workspace selects the serial scan outright (the batch engine
-      // parallelizes across solves) and keeps the tables alive across
-      // find() calls.
-      // Selection rule shared by both modes: merge only the seed anchors
-      // (anchors[0..num_seeds)). The remaining anchors — present only in
-      // the ablation — are scanned for the honest pre-rewrite cost but
-      // their trackers are discarded: a non-seed rotation can fit a budget
-      // the seed rotation of the same cycle exceeds, so consulting them
-      // would surface cycles a doubling pass early and break bit-identity
-      // (see the header comment).
-      if (ws != nullptr) {
-        auto& impl = ws->impl();
-        if (!pruned) impl.legacy.resize(rounds_cap, ss.num_states());
-        for (int i = 0; i < na; ++i) {
-          const graph::VertexId anchor = anchors[i];
-          Tracker tracker;
-          AnchorStats anchor_stats;
-          if (pruned) {
-            scan_anchor_flat(residual, st, budget, max_abs_cost, anchor,
-                             start_layer, anchor_rounds(anchor), query,
-                             query.enforce_cap, impl.flat, tracker,
-                             anchor_stats);
-          } else {
-            scan_anchor_legacy(residual, csr, ss, anchor, start_layer,
-                               anchor_rounds(anchor), query, query.enforce_cap,
-                               impl.legacy, tracker, anchor_stats);
-          }
-          if (i < num_seeds) global.merge(std::move(tracker));
-          if (stats != nullptr) {
-            ++stats->anchors_scanned;
-            stats->walks_examined += anchor_stats.walks;
-            stats->cycles_classified += anchor_stats.cycles;
-            stats->peak_dp_bytes =
-                std::max(stats->peak_dp_bytes, anchor_stats.dp_bytes);
-          }
-        }
-      } else {
-        std::vector<Tracker> per_anchor(na);
-        std::vector<AnchorStats> per_stats(na);
-#ifdef _OPENMP
-        // No exception may leave an OpenMP region (the runtime terminates
-        // the process): the first one is kept and rethrown after it.
-        std::exception_ptr failure;
-        const auto guarded = [&failure](const auto& work) {
-          try {
-            work();
-            return true;
-          } catch (...) {
-#pragma omp critical(krsp_bicameral_failure)
-            if (!failure) failure = std::current_exception();
-            return false;
-          }
-        };
-#pragma omp parallel if (na >= 16)
-        {
-          FlatScratch flat;
-          LegacyScratch legacy;
-          const bool ready =
-              pruned ||
-              guarded([&] { legacy.resize(rounds_cap, ss.num_states()); });
-#pragma omp for schedule(dynamic)
-          for (int i = 0; i < na; ++i) {
-            if (!ready) continue;
-            const graph::VertexId anchor = anchors[i];
-            guarded([&] {
-              if (pruned) {
-                scan_anchor_flat(residual, st, budget, max_abs_cost, anchor,
-                                 start_layer, anchor_rounds(anchor), query,
-                                 query.enforce_cap, flat, per_anchor[i],
-                                 per_stats[i]);
-              } else {
-                scan_anchor_legacy(residual, csr, ss, anchor, start_layer,
-                                   anchor_rounds(anchor), query,
-                                   query.enforce_cap, legacy, per_anchor[i],
-                                   per_stats[i]);
-              }
-            });
-          }
-        }
-        if (failure) std::rethrow_exception(failure);
-#else
-        {
-          FlatScratch flat;
-          LegacyScratch legacy;
-          if (!pruned) legacy.resize(rounds_cap, ss.num_states());
-          for (int i = 0; i < na; ++i) {
-            const graph::VertexId anchor = anchors[i];
-            if (pruned) {
-              scan_anchor_flat(residual, st, budget, max_abs_cost, anchor,
-                               start_layer, anchor_rounds(anchor), query,
-                               query.enforce_cap, flat, per_anchor[i],
-                               per_stats[i]);
-            } else {
-              scan_anchor_legacy(residual, csr, ss, anchor, start_layer,
-                                 anchor_rounds(anchor), query,
-                                 query.enforce_cap, legacy, per_anchor[i],
-                                 per_stats[i]);
-            }
-          }
-        }
-#endif
-        for (int i = 0; i < na; ++i) {
-          if (i < num_seeds) global.merge(std::move(per_anchor[i]));
-          if (stats != nullptr) {
-            ++stats->anchors_scanned;
-            stats->walks_examined += per_stats[i].walks;
-            stats->cycles_classified += per_stats[i].cycles;
-            stats->peak_dp_bytes =
-                std::max(stats->peak_dp_bytes, per_stats[i].dp_bytes);
-          }
+      const std::vector<graph::VertexId>& anchors = st.seeds[sign];
+      if (stats != nullptr)
+        stats->anchors_pruned += n - static_cast<int>(anchors.size());
+      // Each anchor's DP stops on its own first hit, so each gets its own
+      // tracker; merging them in anchor order keeps the earliest
+      // best-ratio candidate.
+      for (const graph::VertexId anchor : anchors) {
+        Tracker tracker;
+        AnchorStats anchor_stats;
+        scan_anchor_flat(residual, st, budget, max_abs_cost, anchor,
+                         start_layer, anchor_rounds(anchor), query,
+                         query.enforce_cap, flat, tracker, anchor_stats);
+        global.merge(std::move(tracker));
+        if (stats != nullptr) {
+          ++stats->anchors_scanned;
+          stats->walks_examined += anchor_stats.walks;
+          stats->cycles_classified += anchor_stats.cycles;
+          stats->peak_dp_bytes =
+              std::max(stats->peak_dp_bytes, anchor_stats.dp_bytes);
         }
       }
       if (global.type0) return global.type0;  // free improvement: take it

@@ -30,10 +30,15 @@
 // (max-prefix rotation), skips every SCC with no internal negative arc,
 // runs each anchor's DP on its own SCC with compacted vertex ids
 // (|scc|·(budget+1) states instead of n·(budget+1)), and stores the DP in
-// flat rolling arrays. Options::disable_pruning keeps the same anchor
-// semantics but executes on the full uncompacted state space with the
-// legacy eagerly-cleared nested tables — the measured-identical ablation
-// baseline for bench_kernel (E13) and the prune property test.
+// flat rolling arrays. Anchors are scanned serially, one after another, in
+// ascending vertex order. The pre-rewrite full-state-space kernel is kept
+// outside the library as a test and bench oracle
+// (tests/oracles/bicameral_reference.h); bicameral_prune_test and
+// bench_kernel (E13) hold the two bit-identical.
+//
+// Memory: exact mode is pseudo-polynomial in the costs, so the DP tables
+// of one anchor grow with the budget. A scan whose tables would exceed
+// kMaxDpBytes throws the typed DpLimitError before allocating them.
 //
 // Note on Algorithm 3 step 2-3 as printed: the brief announcement selects
 // O2 by "minimum d/c with c < 0" and compares absolute ratios; consistent
@@ -43,8 +48,10 @@
 // document the discrepancy here and in DESIGN.md.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "core/residual.h"
 #include "util/rational.h"
@@ -82,11 +89,19 @@ struct BicameralStats {
   std::int64_t anchors_pruned = 0;
   /// SCCs containing at least one seed anchor but no internal negative arc
   /// — their anchors are provably barren and skipped (counted once per
-  /// find() call). Always 0 when pruning is disabled.
+  /// find() call).
   std::int64_t sccs_skipped = 0;
   /// High-water mark of the DP tables (dist rows + parent records) across
   /// all anchors, in bytes. Max-aggregated, never summed.
   std::int64_t peak_dp_bytes = 0;
+};
+
+/// A bicameral scan refused because its DP tables would exceed
+/// BicameralCycleFinder::kMaxDpBytes: a typed input error (costs too large
+/// for exact mode), thrown before the allocation.
+class DpLimitError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 /// Reusable scratch for BicameralCycleFinder::find: the layered Bellman–
@@ -97,11 +112,7 @@ struct BicameralStats {
 /// workspace to successive find calls (the cancellation loop, repeat solves
 /// in the batch engine) keeps the tables' storage alive across calls;
 /// dimensions are re-checked and grown on demand, so any residual graph is
-/// safe. A workspace also pins the scan to the serial anchor order (no
-/// OpenMP team) — the batch engine parallelizes across solves, not inside
-/// one, and the serial scan returns the same cycle as the parallel one by
-/// the tracker-merge-order argument in bicameral.cc. Not thread-safe; use
-/// one per thread.
+/// safe. Not thread-safe; use one per thread.
 class BicameralWorkspace {
  public:
   BicameralWorkspace();
@@ -126,21 +137,21 @@ class BicameralCycleFinder {
     /// Hard bound on Bellman–Ford rounds per anchor; <= 0 means the size of
     /// the anchor's SCC (the witness-cycle length bound).
     int max_rounds = 0;
-    /// Ablation: run the same seed-anchored scans on the full n·(budget+1)
-    /// state space with the legacy nested-vector tables instead of the
-    /// SCC-compacted flat kernel. Bit-identical results, measured by
-    /// bench_kernel (E13) and asserted by bicameral_prune_test.
-    bool disable_pruning = false;
   };
+
+  /// Largest DP table one anchor scan may allocate (dist rows + parent
+  /// records). E13's full run peaks near 17 MB, so only inputs whose costs
+  /// push the budget into the millions come near it.
+  static constexpr std::int64_t kMaxDpBytes = std::int64_t{256} << 20;
 
   BicameralCycleFinder() : options_(Options{}) {}
   explicit BicameralCycleFinder(Options options) : options_(options) {}
 
   /// Finds a bicameral cycle in `residual` per `query`, or nullopt if none
   /// exists (at any budget up to the cap / total-cost bound). `ws`
-  /// (optional) reuses the DP tables across calls and selects the serial
-  /// scan — same result, no allocation churn, no nested parallelism under
-  /// the batch engine.
+  /// (optional) reuses the DP tables across calls; without one the call
+  /// uses a local workspace. Same result either way. Throws DpLimitError
+  /// when a scan's tables would exceed kMaxDpBytes.
   [[nodiscard]] std::optional<FoundCycle> find(
       const ResidualGraph& residual, const BicameralQuery& query,
       BicameralStats* stats = nullptr, BicameralWorkspace* ws = nullptr) const;

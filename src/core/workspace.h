@@ -25,9 +25,7 @@ struct SolveWorkspace {
   /// Cached min-cost-flow network for phase 1's repeated Lagrangian calls.
   flow::McfWorkspace mcmf;
   /// Bicameral finder scratch: the flat rolling dist rows + packed parent
-  /// records of the pruned kernel (and the legacy nested tables when the
-  /// ablation runs), grown high-water across calls. Also pins the finder
-  /// to its serial scan; see BicameralWorkspace.
+  /// records, grown high-water across calls; see BicameralWorkspace.
   BicameralWorkspace finder;
   /// Solves started through this workspace (telemetry only).
   std::uint64_t solves_started = 0;

@@ -18,9 +18,8 @@
 // workspaces rebuild themselves on topology changes, so which worker picks
 // which request is unobservable in the output (engine_test asserts
 // bit-identical batches at 1/2/8 threads, and submit() against
-// solve_batch()). Workers never run OpenMP teams: a workspace pins the
-// bicameral finder to its serial scan, keeping the pool's parallelism
-// strictly across requests.
+// solve_batch()). Each solve is single-threaded, so the pool's
+// parallelism is strictly across requests.
 //
 // Backpressure and shutdown: queue_capacity bounds the waiting jobs —
 // submit() blocks (never drops) while the queue is full. close() stops

@@ -1,18 +1,20 @@
 // Property test for the residual-structure pruning of the bicameral finder:
-// the pruned kernel (seed anchors on SCC-compacted states, flat tables) and
-// the disable_pruning ablation (full n-anchor scan, full state space, legacy
-// nested tables — but the shared seed-only selection contract) must return
-// exactly the same result — same presence, same edges, same cost/delay/type
-// — on randomized residual graphs spanning the no-negative-arc, single-SCC
-// and many-SCC regimes. Equality hinges on the flat kernel being
-// execution-equivalent to the legacy kernel at every seed anchor; this is
-// the executable form of the equivalence argument in DESIGN.md §3.
+// the production kernel (seed anchors on SCC-compacted states, flat tables)
+// and the full-state-space reference in tests/oracles (every vertex
+// anchored, n·(budget+1) states, nested tables — but the shared seed-only
+// selection contract) must return exactly the same result — same presence,
+// same edges, same cost/delay/type — on randomized residual graphs spanning
+// the no-negative-arc, single-SCC and many-SCC regimes, with and without a
+// reused workspace. Equality hinges on the flat kernel being
+// execution-equivalent to the full-state-space kernel at every seed anchor;
+// this is the executable form of the equivalence argument in DESIGN.md §3.
 
 #include <gtest/gtest.h>
 
 #include "core/bicameral.h"
 #include "graph/cycles.h"
 #include "graph/generators.h"
+#include "oracles/bicameral_reference.h"
 #include "util/rng.h"
 
 namespace krsp::core {
@@ -44,34 +46,23 @@ BicameralQuery random_query(util::Rng& rng) {
   return q;
 }
 
-// Runs the pruned kernel (parallel and serial-workspace paths) and the
-// ablation on the same residual/query and checks exact agreement.
+// Runs production find (fresh and with a reused workspace) and the
+// reference on the same residual/query and checks exact agreement.
 void expect_modes_identical(const ResidualGraph& residual,
-                            const BicameralQuery& q, const char* context) {
+                            const BicameralQuery& q, const char* context,
+                            BicameralWorkspace& ws) {
   BicameralStats pruned_stats;
-  BicameralStats ablation_stats;
-  const BicameralCycleFinder pruned_finder;
-  const BicameralCycleFinder ablation_finder{[] {
-    BicameralCycleFinder::Options o;
-    o.disable_pruning = true;
-    return o;
-  }()};
+  BicameralStats reference_stats;
+  const BicameralCycleFinder finder;
 
-  const auto pruned = pruned_finder.find(residual, q, &pruned_stats);
-  const auto ablation = ablation_finder.find(residual, q, &ablation_stats);
-  BicameralWorkspace ws;
-  const auto pruned_serial = pruned_finder.find(residual, q, nullptr, &ws);
+  const auto pruned = finder.find(residual, q, &pruned_stats);
+  const auto reference =
+      bicameral_find_reference(residual, q, {}, &reference_stats);
+  const auto reused = finder.find(residual, q, nullptr, &ws);
 
-  ASSERT_EQ(pruned.has_value(), ablation.has_value()) << context;
-  ASSERT_EQ(pruned.has_value(), pruned_serial.has_value()) << context;
+  ASSERT_TRUE(same_found_cycle(pruned, reference)) << context;
+  ASSERT_TRUE(same_found_cycle(pruned, reused)) << context;
   if (pruned.has_value()) {
-    EXPECT_EQ(pruned->edges, ablation->edges) << context;
-    EXPECT_EQ(pruned->cost, ablation->cost) << context;
-    EXPECT_EQ(pruned->delay, ablation->delay) << context;
-    EXPECT_EQ(pruned->type, ablation->type) << context;
-    EXPECT_EQ(pruned->edges, pruned_serial->edges) << context;
-    EXPECT_EQ(pruned->type, pruned_serial->type) << context;
-
     // Returned cycles are genuine and self-consistent.
     EXPECT_TRUE(graph::is_simple_cycle(residual.digraph(), pruned->edges))
         << context;
@@ -84,13 +75,14 @@ void expect_modes_identical(const ResidualGraph& residual,
   }
 
   // Pruning only removes work, never adds it.
-  EXPECT_LE(pruned_stats.anchors_scanned, ablation_stats.anchors_scanned)
+  EXPECT_LE(pruned_stats.anchors_scanned, reference_stats.anchors_scanned)
       << context;
-  EXPECT_EQ(ablation_stats.sccs_skipped, 0) << context;
+  EXPECT_EQ(reference_stats.sccs_skipped, 0) << context;
 }
 
 TEST(BicameralPrune, NoNegativeArcResidualsReturnNothing) {
   util::Rng rng(0xabc1);
+  BicameralWorkspace ws;
   for (int trial = 0; trial < 40; ++trial) {
     const int n = static_cast<int>(rng.uniform_int(4, 12));
     gen::WeightRange w;
@@ -105,12 +97,13 @@ TEST(BicameralPrune, NoNegativeArcResidualsReturnNothing) {
         BicameralCycleFinder().find(residual, q, &stats).has_value());
     // The seed fast path answers without scanning a single anchor.
     EXPECT_EQ(stats.anchors_scanned, 0);
-    expect_modes_identical(residual, q, "no-negative-arc");
+    expect_modes_identical(residual, q, "no-negative-arc", ws);
   }
 }
 
 TEST(BicameralPrune, DenseSingleSccInstancesMatch) {
   util::Rng rng(0xabc2);
+  BicameralWorkspace ws;
   for (int trial = 0; trial < 90; ++trial) {
     const int n = static_cast<int>(rng.uniform_int(6, 12));
     gen::WeightRange w;
@@ -119,12 +112,13 @@ TEST(BicameralPrune, DenseSingleSccInstancesMatch) {
     if (trial % 4 == 0) w.cost_min = 0;
     const auto g = gen::erdos_renyi(rng, n, 0.5, w);
     const ResidualGraph residual(g, random_flow_subset(rng, g, 0.4));
-    expect_modes_identical(residual, random_query(rng), "dense");
+    expect_modes_identical(residual, random_query(rng), "dense", ws);
   }
 }
 
 TEST(BicameralPrune, SparseManySccInstancesMatch) {
   util::Rng rng(0xabc3);
+  BicameralWorkspace ws;
   for (int trial = 0; trial < 90; ++trial) {
     const int n = static_cast<int>(rng.uniform_int(8, 16));
     gen::WeightRange w;
@@ -132,7 +126,7 @@ TEST(BicameralPrune, SparseManySccInstancesMatch) {
     w.delay_max = static_cast<Cost>(rng.uniform_int(2, 8));
     const auto g = gen::erdos_renyi(rng, n, 0.12, w);
     const ResidualGraph residual(g, random_flow_subset(rng, g, 0.3));
-    expect_modes_identical(residual, random_query(rng), "sparse");
+    expect_modes_identical(residual, random_query(rng), "sparse", ws);
   }
 }
 
@@ -141,22 +135,12 @@ TEST(BicameralPrune, WorkspaceReuseAcrossShapesIsStable) {
   // the grown tables must never leak stale state into later finds.
   util::Rng rng(0xabc4);
   BicameralWorkspace ws;
-  const BicameralCycleFinder finder;
   for (int trial = 0; trial < 30; ++trial) {
     const int n = static_cast<int>(rng.uniform_int(4, 14));
     const double p = trial % 2 == 0 ? 0.5 : 0.15;
     const auto g = gen::erdos_renyi(rng, n, p, {});
     const ResidualGraph residual(g, random_flow_subset(rng, g, 0.4));
-    const BicameralQuery q = random_query(rng);
-    const auto fresh = finder.find(residual, q);
-    const auto reused = finder.find(residual, q, nullptr, &ws);
-    ASSERT_EQ(fresh.has_value(), reused.has_value());
-    if (fresh.has_value()) {
-      EXPECT_EQ(fresh->edges, reused->edges);
-      EXPECT_EQ(fresh->cost, reused->cost);
-      EXPECT_EQ(fresh->delay, reused->delay);
-      EXPECT_EQ(fresh->type, reused->type);
-    }
+    expect_modes_identical(residual, random_query(rng), "reuse", ws);
   }
 }
 

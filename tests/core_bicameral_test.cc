@@ -9,6 +9,7 @@
 #include "flow/disjoint.h"
 #include "graph/cycles.h"
 #include "graph/generators.h"
+#include "oracles/bicameral_reference.h"
 #include "util/rng.h"
 
 namespace krsp::core {
@@ -285,10 +286,9 @@ TEST(Finder, NearMaxCapSaturatesBudgetSchedule) {
   // Clamped ceiling: budgets stop at n·max|c| = 12, i.e. 8 then 12.
   EXPECT_LE(stats.budgets_tried, 2);
 
-  // The ablation kernel shares the clamp and the saturating doubling.
-  BicameralCycleFinder::Options ablation;
-  ablation.disable_pruning = true;
-  const auto same = BicameralCycleFinder(ablation).find(residual, q);
+  // The full-state-space reference shares the clamp and the saturating
+  // doubling.
+  const auto same = bicameral_find_reference(residual, q);
   ASSERT_TRUE(same.has_value());
   EXPECT_EQ(same->edges, cycle->edges);
 }
@@ -316,11 +316,45 @@ TEST(Finder, SeedRotationNeedsBudgetHeadroom) {
   EXPECT_EQ(cycle->cost, 7);
   EXPECT_EQ(cycle->delay, -2);
 
-  BicameralCycleFinder::Options ablation;
-  ablation.disable_pruning = true;
-  const auto same = BicameralCycleFinder(ablation).find(residual, q);
+  const auto same = bicameral_find_reference(residual, q);
   ASSERT_TRUE(same.has_value());
   EXPECT_EQ(same->edges, cycle->edges);
+}
+
+TEST(Finder, OversizedDpTablesFailTyped) {
+  // Costs near 5e8: the only qualifying cycle (0→2→3→1→0, cost ~1e9,
+  // delay ~−1e9) needs a budget near 1e9, i.e. gigabytes of DP tables.
+  // Starting the schedule there, the finder must refuse with the typed
+  // error before allocating anything — not fail a library check or run
+  // out of memory. (tools_smoke drives the default schedule into the same
+  // limit through krsp_solve --mode=exact.)
+  graph::Digraph g(4);
+  g.add_edge(0, 1, 1, 499999991);
+  g.add_edge(1, 3, 1, 499999993);
+  g.add_edge(0, 2, 499999937, 1);
+  g.add_edge(2, 3, 499999929, 2);
+  const ResidualGraph residual(g, {0, 1});
+  BicameralQuery q;
+  q.cap = 2000000000;
+  q.ratio = Rational(-1, 2);
+  BicameralCycleFinder::Options opt;
+  opt.initial_budget = graph::Cost{1} << 30;
+  BicameralStats stats;
+  EXPECT_THROW((void)BicameralCycleFinder(opt).find(residual, q, &stats),
+               DpLimitError);
+  EXPECT_EQ(stats.peak_dp_bytes, 0);
+
+  // The same cycle at costs 1e5x smaller fits well inside the limit.
+  graph::Digraph small(4);
+  small.add_edge(0, 1, 1, 4991);
+  small.add_edge(1, 3, 1, 4993);
+  small.add_edge(0, 2, 4937, 1);
+  small.add_edge(2, 3, 4929, 2);
+  q.cap = 20000;
+  const auto cycle =
+      BicameralCycleFinder().find(ResidualGraph(small, {0, 1}), q);
+  ASSERT_TRUE(cycle.has_value());
+  EXPECT_EQ(cycle->type, CycleType::kType1);
 }
 
 TEST(Finder, PruningStatsExposeSkippedWork) {

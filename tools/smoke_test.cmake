@@ -46,6 +46,29 @@ foreach(mode phase1 exact)
   endif()
 endforeach()
 
+# Exact mode is pseudo-polynomial in the costs: on this valid instance the
+# bicameral budget doubles toward 1e9, and the DP tables would grow into
+# gigabytes. The finder must refuse at its memory limit with a typed
+# error, not fail a library check or die allocating.
+set(dp_limit "${WORK_DIR}/dp_limit.kri")
+file(WRITE ${dp_limit} "c exact-mode DP memory limit regression
+p krsp 4 4
+a 0 1 1 499999991
+a 1 3 1 499999993
+a 0 2 499999937 1
+a 2 3 499999929 2
+q 0 3 1 700000001
+")
+execute_process(
+  COMMAND ${KRSP_SOLVE} --instance=${dp_limit} --mode=exact
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT out MATCHES "status: failed \\(bicameral DP tables [^)]* exceed the 256 MiB limit\\)")
+  message(FATAL_ERROR "DP-limit instance: no typed error (${rc}): ${out}${err}")
+endif()
+if(out MATCHES "KRSP_CHECK|bad_alloc")
+  message(FATAL_ERROR "DP-limit instance: library check or allocation failure: ${out}")
+endif()
+
 # Back-compat: --eps must still be accepted, and the split knobs alongside.
 execute_process(
   COMMAND ${KRSP_SOLVE} --instance=${instance} --eps=0.5
