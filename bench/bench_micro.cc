@@ -3,13 +3,14 @@
 // Throughput of the building blocks: Dijkstra, Bellman–Ford, Dinic, MCMF
 // (fresh networks, and phase 1 on a reused workspace), residual
 // construction, auxiliary-graph construction, the bicameral product-graph
-// search, and the simplex.
+// search, the exact-mode cost-guess search, and the simplex.
 #include <benchmark/benchmark.h>
 
 #include "core/aux_graph.h"
 #include "core/bicameral.h"
 #include "core/phase1.h"
 #include "core/residual.h"
+#include "core/solver.h"
 #include "core/workspace.h"
 #include "flow/dinic.h"
 #include "flow/disjoint.h"
@@ -98,6 +99,43 @@ void BM_Phase1Lagrangian(benchmark::State& state) {
   state.counters["mcmf_calls"] = mcmf_calls;
 }
 BENCHMARK(BM_Phase1Lagrangian)->Unit(benchmark::kMillisecond);
+
+// One exact-weights solve per iteration with a reused SolveWorkspace, on
+// perfbench tight-cancel-shaped instances (ER n=32, p=0.15, k=2, slack
+// 0.15, phase-1 answer over D) drawn from a fixed seed, cycling through
+// the pool. Nearly all of it is the cost-guess search: one cancellation
+// run per guess, each starting from the phase-1 paths, whose first-round
+// anchor scans the per-solve AnchorScanMemo replays.
+void BM_ExactGuessSearch(benchmark::State& state) {
+  util::Rng rng(1);
+  core::RandomInstanceOptions opt;
+  opt.k = 2;
+  opt.delay_slack = 0.15;
+  std::vector<core::Instance> pool;
+  while (pool.size() < 16) {
+    auto inst = core::random_er_instance(rng, 32, 0.15, opt);
+    if (!inst) continue;
+    const auto p1 = core::phase1_lagrangian(*inst);
+    if (p1.status == core::Phase1Status::kApprox &&
+        p1.delay > inst->delay_bound)
+      pool.push_back(std::move(*inst));
+  }
+  core::SolverOptions options;
+  options.mode = core::SolverOptions::Mode::kExactWeights;
+  const core::KrspSolver solver(options);
+  core::SolveWorkspace ws;
+  std::size_t next = 0;
+  std::int64_t guesses = 0;
+  for (auto _ : state) {
+    const auto s = solver.solve(pool[next], {}, &ws);
+    next = (next + 1) % pool.size();
+    guesses += s.telemetry.guess_attempts;
+    benchmark::DoNotOptimize(s.cost);
+  }
+  state.counters["guesses_per_solve"] = benchmark::Counter(
+      static_cast<double>(guesses), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ExactGuessSearch)->Unit(benchmark::kMillisecond);
 
 void BM_ResidualBuild(benchmark::State& state) {
   const auto g = make_graph(static_cast<int>(state.range(0)));

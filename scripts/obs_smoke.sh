@@ -7,7 +7,9 @@
 #   * the Chrome trace is valid JSON and contains the span taxonomy the
 #     serving path promises (phase1, rsp_oracle, cycle_cancel_round,
 #     queue_wait, cache_lookup, admission);
-#   * the metrics exposition carries per-SLA-class latency quantiles;
+#   * the metrics exposition carries per-SLA-class latency quantiles and
+#     the solver's internal counters, with anchor scans counted after an
+#     exact-mode solve that cancels;
 #   * a timing-flagged solve response breaks its latency down;
 #   * the load generator's --latency-out CSV has the documented header
 #     and one served row per request.
@@ -34,6 +36,11 @@ trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$DIR"' EXIT
 "$GEN" --family=waxman --n=40 --k=2 --slack=0.35 --seed=77 \
        --out="$DIR/waxman.kri" >/dev/null
 "$PACK" --in="$DIR/waxman.kri" --out="$CATALOG/waxman40.krspb" >/dev/null
+# A tight ER entry whose phase-1 answer misses D, so an exact-mode solve
+# on it runs the bicameral finder and moves its anchor-scan counters.
+"$GEN" --family=er --n=32 --k=2 --slack=0.15 --seed=3 \
+       --out="$DIR/er.kri" >/dev/null
+"$PACK" --in="$DIR/er.kri" --out="$CATALOG/er32.krspb" >/dev/null
 
 "$SERVE" --socket="$SOCK" --threads=2 --max-pending=64 \
          --catalog="$CATALOG" --trace-out="$TRACE" &
@@ -82,6 +89,10 @@ def rpc(sock_path, request):
 
 sock = sys.argv[1]
 
+exact = rpc(sock, {"op": "solve", "id": "exact-1", "topology": "er32",
+                   "mode": "exact"})
+assert exact.get("ok") is True, exact
+
 metrics = rpc(sock, {"op": "metrics"})
 assert metrics.get("ok") is True, metrics
 assert metrics.get("protocol_version") == 2, metrics
@@ -94,8 +105,13 @@ for needle in (
     'krsp_transport_bytes_total{direction="in"}',
     'krsp_phase1_mcmf_calls_total ',
     'krsp_mcmf_network_rebuilds_total ',
+    'krsp_bicameral_anchor_scans_total{source="dp"} ',
+    'krsp_bicameral_anchor_scans_total{source="replay"} ',
 ):
     assert needle in text, "metrics exposition missing: " + needle
+dp_scans = [line for line in text.splitlines()
+            if line.startswith('krsp_bicameral_anchor_scans_total{source="dp"} ')]
+assert dp_scans and float(dp_scans[0].split()[-1]) > 0, dp_scans
 
 timed = rpc(sock, {"op": "solve", "id": "timed-1", "topology": "waxman40",
                    "mode": "scaled", "timing": True})

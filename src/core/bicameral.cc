@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <tuple>
 
 #include "graph/algorithms.h"
 #include "graph/csr.h"
 #include "graph/cycles.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace krsp::core {
@@ -173,6 +176,75 @@ struct AnchorStats {
   std::int64_t dp_bytes = 0;  // table high-water mark for this scan
 };
 
+// One recorded anchor scan (AnchorScanMemo): every cycle the scan
+// harvested, in harvest order, grouped by the round that harvested it, plus
+// what a replay needs to reproduce the scan's AnchorStats and its stop.
+// Rounds that harvested nothing are not stored: the stop rule cannot fire
+// after them (the tracker did not change).
+struct ScanRecord {
+  struct Cycle {
+    std::int32_t edges_end;  // this cycle's edges end here in `edges`
+    graph::Cost cost;
+    graph::Delay delay;
+  };
+  struct Round {
+    std::int32_t cycles_end;  // this round's cycles end here in `cycles`
+    std::int64_t walks;
+  };
+
+  std::vector<graph::EdgeId> edges;
+  std::vector<Cycle> cycles;
+  std::vector<Round> rounds;
+  std::int64_t dp_bytes = 0;
+  // True when the DP ran out of rounds or of improvements, i.e. the stored
+  // rounds are all the rounds the scan has; false when it stopped on a hit.
+  bool complete = false;
+  // Recording gives up (and drops what it has) past `limit` bytes.
+  std::int64_t limit = 0;
+  bool overflowed = false;
+
+  [[nodiscard]] std::int64_t bytes() const {
+    return static_cast<std::int64_t>(sizeof(ScanRecord) +
+                                     edges.size() * sizeof(graph::EdgeId) +
+                                     cycles.size() * sizeof(Cycle) +
+                                     rounds.size() * sizeof(Round));
+  }
+
+  void reset(std::int64_t limit_bytes) {
+    edges.clear();
+    cycles.clear();
+    rounds.clear();
+    dp_bytes = 0;
+    complete = false;
+    limit = limit_bytes;
+    overflowed = false;
+    check_limit();
+  }
+
+  void add_cycle(const std::vector<graph::EdgeId>& cycle, graph::Cost c,
+                 graph::Delay d) {
+    if (overflowed) return;
+    edges.insert(edges.end(), cycle.begin(), cycle.end());
+    cycles.push_back(Cycle{static_cast<std::int32_t>(edges.size()), c, d});
+    check_limit();
+  }
+
+  void end_round(std::int64_t walks) {
+    if (overflowed) return;
+    rounds.push_back(Round{static_cast<std::int32_t>(cycles.size()), walks});
+    check_limit();
+  }
+
+ private:
+  void check_limit() {
+    if (bytes() <= limit) return;
+    overflowed = true;
+    edges = {};
+    cycles = {};
+    rounds = {};
+  }
+};
+
 // Candidate tracker with deterministic preference: type-0 wins outright,
 // then best (most useful) ratio per type, the earliest candidate on ties.
 struct Tracker {
@@ -224,15 +296,16 @@ struct Tracker {
 };
 
 // Decomposes the closed walk reconstructed into `walk` and feeds qualifying
-// cycles into the tracker.
+// cycles into the tracker; `record` (optional) keeps every cycle.
 void classify_walk(const ResidualGraph& residual,
                    std::vector<graph::EdgeId>& walk,
                    const BicameralQuery& query, Tracker& tracker,
-                   AnchorStats& stats) {
+                   AnchorStats& stats, ScanRecord* record) {
   for (auto& cycle : graph::decompose_closed_walk(residual.digraph(), walk)) {
     ++stats.cycles;
     const graph::Cost c = residual.cycle_cost(cycle);
     const graph::Delay d = residual.cycle_delay(cycle);
+    if (record != nullptr) record->add_cycle(cycle, c, d);
     const auto type = BicameralCycleFinder::classify(c, d, query.cap,
                                                      query.ratio,
                                                      query.enforce_cap);
@@ -245,14 +318,17 @@ void classify_walk(const ResidualGraph& residual,
 // Candidates are harvested after every round; when `stop_on_first` is set
 // (the capped algorithm — any qualifying cycle suffices for Lemma 12) the
 // DP stops as soon as this anchor has produced one. The per-anchor decision
-// never depends on other anchors. Throws DpLimitError, before allocating,
-// when the tables would exceed kMaxDpBytes. Kept out of line: inlined into
-// find(), its only caller, the same solves measured 5–15% slower.
+// never depends on other anchors. `record` (optional) receives the
+// harvested cycles round by round and how the scan ended. Throws
+// DpLimitError, before allocating, when the tables would exceed
+// kMaxDpBytes. Kept out of line: inlined into find(), its only caller, the
+// same solves measured 5–15% slower.
 [[gnu::noinline]] void scan_anchor_flat(
     const ResidualGraph& residual, const Structure& st, graph::Cost budget,
     graph::Cost max_abs_cost, graph::VertexId anchor, graph::Cost start_layer,
     int rounds, const BicameralQuery& query, bool stop_on_first,
-    FlatScratch& t, Tracker& tracker, AnchorStats& stats) {
+    FlatScratch& t, Tracker& tracker, AnchorStats& stats,
+    ScanRecord* record) {
   const int c = st.scc.component[anchor];
   const int s = st.scc.component_size(c);
   const int base = st.scc.comp_first[c];
@@ -316,7 +392,7 @@ void classify_walk(const ResidualGraph& residual,
     }
     KRSP_CHECK(state == start);
     std::reverse(walk.begin(), walk.end());
-    classify_walk(residual, walk, query, tracker, stats);
+    classify_walk(residual, walk, query, tracker, stats, record);
   };
 
   for (int j = 1; j <= rounds; ++j) {
@@ -357,6 +433,7 @@ void classify_walk(const ResidualGraph& residual,
     // host a qualifying cycle are interesting: negative delay (type-0/1
     // material) or negative cost (type-0/2 material). Layers outside the
     // round-j window are still ∞ and can never pass the best_seen gate.
+    const std::int64_t walks_before = stats.walks;
     for (graph::Cost l = cur_lo; l <= cur_hi; ++l) {
       const std::int64_t dj = cur[anchor_row + l];
       if (dj >= best_seen[l]) continue;
@@ -365,11 +442,77 @@ void classify_walk(const ResidualGraph& residual,
       if (!(dj < 0 || walk_cost < 0)) continue;
       harvest(j, l);
     }
-    if (tracker.type0 || (stop_on_first && (tracker.t1 || tracker.t2)))
+    if (record != nullptr && stats.walks > walks_before)
+      record->end_round(stats.walks - walks_before);
+    if (tracker.type0 || (stop_on_first && (tracker.t1 || tracker.t2))) {
+      if (record != nullptr) record->complete = j == rounds;
       return;
+    }
     std::swap(prev, cur);
   }
+  if (record != nullptr) record->complete = true;
 }
+
+// Replays a recorded scan under `query`: the recorded cycles reach the
+// tracker in harvest order, classified by this query, and the scan's stop
+// rule runs after each round, exactly as scan_anchor_flat would on the same
+// residual (its DP never reads the query). Returns false when the recorded
+// rounds run out before the scan would stop; the caller then runs the DP
+// with a fresh tracker and stats.
+bool replay_scan(const ScanRecord& record, const BicameralQuery& query,
+                 bool stop_on_first, Tracker& tracker, AnchorStats& stats) {
+  stats.dp_bytes = record.dp_bytes;
+  std::size_t c = 0;
+  std::int32_t edges_begin = 0;
+  for (const ScanRecord::Round& round : record.rounds) {
+    stats.walks += round.walks;
+    for (; c < static_cast<std::size_t>(round.cycles_end); ++c) {
+      const ScanRecord::Cycle& cycle = record.cycles[c];
+      ++stats.cycles;
+      const auto type = BicameralCycleFinder::classify(
+          cycle.cost, cycle.delay, query.cap, query.ratio, query.enforce_cap);
+      if (type)
+        tracker.consider(FoundCycle{
+            std::vector<graph::EdgeId>(record.edges.begin() + edges_begin,
+                                       record.edges.begin() + cycle.edges_end),
+            cycle.cost, cycle.delay, *type});
+      edges_begin = cycle.edges_end;
+    }
+    if (tracker.type0 || (stop_on_first && (tracker.t1 || tracker.t2)))
+      return true;
+  }
+  return record.complete;
+}
+
+struct AnchorScanCounters {
+  obs::Counter& dp;
+  obs::Counter& replay;
+};
+
+// Resolved once: the registry lookup takes a mutex.
+const AnchorScanCounters& anchor_scan_counters() {
+  static const AnchorScanCounters counters{
+      obs::Registry::global().counter("krsp_bicameral_anchor_scans_total",
+                                      "source=\"dp\""),
+      obs::Registry::global().counter("krsp_bicameral_anchor_scans_total",
+                                      "source=\"replay\"")};
+  return counters;
+}
+
+// Adds one find()'s scan counts to the metrics on every way out of it.
+// Both series exist from the first find() on, even one that scans nothing.
+struct ScanTally {
+  const AnchorScanCounters& counters = anchor_scan_counters();
+  std::int64_t dp = 0;
+  std::int64_t replayed = 0;
+  ScanTally() = default;
+  ScanTally(const ScanTally&) = delete;
+  ScanTally& operator=(const ScanTally&) = delete;
+  ~ScanTally() {
+    if (dp > 0) counters.dp.inc(static_cast<std::uint64_t>(dp));
+    if (replayed > 0) counters.replay.inc(static_cast<std::uint64_t>(replayed));
+  }
+};
 
 }  // namespace
 
@@ -384,6 +527,60 @@ BicameralWorkspace::BicameralWorkspace(BicameralWorkspace&&) noexcept =
     default;
 BicameralWorkspace& BicameralWorkspace::operator=(
     BicameralWorkspace&&) noexcept = default;
+
+std::int64_t BicameralWorkspace::retained_bytes() const {
+  const FlatScratch& t = impl_->flat;
+  return static_cast<std::int64_t>(
+      t.dist.capacity() * sizeof(std::int64_t) +
+      t.parent.capacity() * sizeof(FlatScratch::ParentRec) +
+      t.best_seen.capacity() * sizeof(std::int64_t) +
+      t.walk.capacity() * sizeof(graph::EdgeId));
+}
+
+void BicameralWorkspace::release_excess() {
+  if (retained_bytes() > kRetainBytes) impl_->flat = FlatScratch{};
+}
+
+struct AnchorScanMemo::Impl {
+  // (budget, sign, anchor, rounds)
+  using Key = std::tuple<graph::Cost, int, graph::VertexId, int>;
+
+  const graph::Digraph* graph = nullptr;
+  std::vector<graph::EdgeId> start_edges;
+  std::map<Key, ScanRecord> entries;
+  std::int64_t bytes = 0;  // sum of entries' bytes()
+  ScanRecord scratch;      // the scan being recorded
+
+  // Keeps the scan just recorded in `scratch` under `key`, replacing
+  // `old` (the key's previous entry, or null).
+  void store(const Key& key, ScanRecord* old) {
+    if (old != nullptr) {
+      bytes -= old->bytes();
+      *old = scratch;
+    } else {
+      old = &entries.emplace(key, scratch).first->second;
+    }
+    bytes += old->bytes();
+  }
+};
+
+AnchorScanMemo::AnchorScanMemo() : impl_(std::make_unique<Impl>()) {}
+AnchorScanMemo::~AnchorScanMemo() = default;
+AnchorScanMemo::AnchorScanMemo(AnchorScanMemo&&) noexcept = default;
+AnchorScanMemo& AnchorScanMemo::operator=(AnchorScanMemo&&) noexcept =
+    default;
+
+void AnchorScanMemo::bind(const graph::Digraph& graph,
+                          const std::vector<graph::EdgeId>& start_edges) {
+  Impl& m = *impl_;
+  if (m.graph == &graph && m.start_edges == start_edges) return;
+  m.graph = &graph;
+  m.start_edges = start_edges;
+  m.entries.clear();
+  m.bytes = 0;
+}
+
+std::int64_t AnchorScanMemo::stored_bytes() const { return impl_->bytes; }
 
 std::optional<CycleType> BicameralCycleFinder::classify(
     graph::Cost c, graph::Delay d, graph::Cost cap,
@@ -406,7 +603,9 @@ std::optional<CycleType> BicameralCycleFinder::classify(
 
 std::optional<FoundCycle> BicameralCycleFinder::find(
     const ResidualGraph& residual, const BicameralQuery& query,
-    BicameralStats* stats, BicameralWorkspace* ws) const {
+    BicameralStats* stats, BicameralWorkspace* ws,
+    AnchorScanMemo* memo) const {
+  ScanTally tally;
   const graph::Digraph& rg = residual.digraph();
   const int n = rg.num_vertices();
   // No negative residual arc ⇒ no qualifying cycle at any budget (its
@@ -464,6 +663,8 @@ std::optional<FoundCycle> BicameralCycleFinder::find(
     budget_max = static_cast<graph::Cost>(bound);
   }
 
+  AnchorScanMemo::Impl* const memo_impl =
+      memo != nullptr ? &memo->impl() : nullptr;
   Tracker global;
   graph::Cost budget = std::min(
       std::max<graph::Cost>(options_.initial_budget, 0), budget_max);
@@ -486,9 +687,34 @@ std::optional<FoundCycle> BicameralCycleFinder::find(
       for (const graph::VertexId anchor : anchors) {
         Tracker tracker;
         AnchorStats anchor_stats;
-        scan_anchor_flat(residual, st, budget, max_abs_cost, anchor,
-                         start_layer, anchor_rounds(anchor), query,
-                         query.enforce_cap, flat, tracker, anchor_stats);
+        const int rounds = anchor_rounds(anchor);
+        const AnchorScanMemo::Impl::Key key{budget, sign, anchor, rounds};
+        ScanRecord* entry = nullptr;
+        if (memo_impl != nullptr) {
+          const auto it = memo_impl->entries.find(key);
+          if (it != memo_impl->entries.end()) entry = &it->second;
+        }
+        if (entry != nullptr && replay_scan(*entry, query, query.enforce_cap,
+                                            tracker, anchor_stats)) {
+          ++tally.replayed;
+        } else {
+          tracker = Tracker{};
+          anchor_stats = AnchorStats{};
+          ScanRecord* record = nullptr;
+          if (memo_impl != nullptr) {
+            record = &memo_impl->scratch;
+            record->reset(AnchorScanMemo::kMaxBytes - memo_impl->bytes +
+                          (entry != nullptr ? entry->bytes() : 0));
+          }
+          scan_anchor_flat(residual, st, budget, max_abs_cost, anchor,
+                           start_layer, rounds, query, query.enforce_cap,
+                           flat, tracker, anchor_stats, record);
+          ++tally.dp;
+          if (record != nullptr && !record->overflowed) {
+            record->dp_bytes = anchor_stats.dp_bytes;
+            memo_impl->store(key, entry);
+          }
+        }
         global.merge(std::move(tracker));
         if (stats != nullptr) {
           ++stats->anchors_scanned;

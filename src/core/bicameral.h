@@ -38,7 +38,17 @@
 //
 // Memory: exact mode is pseudo-polynomial in the costs, so the DP tables
 // of one anchor grow with the budget. A scan whose tables would exceed
-// kMaxDpBytes throws the typed DpLimitError before allocating them.
+// kMaxDpBytes throws the typed DpLimitError before allocating them, and
+// BicameralWorkspace::release_excess returns tables above kRetainBytes to
+// the allocator between solves.
+//
+// Replay (DESIGN.md §3). An anchor scan's DP — which walks it harvests,
+// round by round — depends on the residual graph, the budget, the sign and
+// the anchor, never on the query: only the classification of the harvested
+// cycles and the early stop read cap and ratio. An AnchorScanMemo records
+// each scan's harvested cycles per round; a later find on the same residual
+// re-classifies them under its own query and re-applies the stop rule
+// instead of running the DP again, with identical results and stats.
 //
 // Note on Algorithm 3 step 2-3 as printed: the brief announcement selects
 // O2 by "minimum d/c with c < 0" and compares absolute ratios; consistent
@@ -115,12 +125,62 @@ class DpLimitError : public std::runtime_error {
 /// safe. Not thread-safe; use one per thread.
 class BicameralWorkspace {
  public:
+  /// Table storage kept across solves by release_excess: well above E13's
+  /// ~17 MB full-run peak, so ordinary workloads never give tables back.
+  static constexpr std::int64_t kRetainBytes = std::int64_t{32} << 20;
+
   BicameralWorkspace();
   ~BicameralWorkspace();
   BicameralWorkspace(BicameralWorkspace&&) noexcept;
   BicameralWorkspace& operator=(BicameralWorkspace&&) noexcept;
   BicameralWorkspace(const BicameralWorkspace&) = delete;
   BicameralWorkspace& operator=(const BicameralWorkspace&) = delete;
+
+  /// Bytes of DP table storage currently held.
+  [[nodiscard]] std::int64_t retained_bytes() const;
+  /// Frees the DP tables if they hold more than kRetainBytes, so one huge
+  /// exact-mode request does not pin its tables for a worker's lifetime.
+  /// Never changes results: tables are regrown on demand.
+  void release_excess();
+
+  struct Impl;  // defined in bicameral.cc
+  [[nodiscard]] Impl& impl() const { return *impl_; }
+
+ private:
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Per-solve record of anchor scans for replay across the cost-guess
+/// search (see the file comment). Each entry, keyed by (budget, sign,
+/// anchor, rounds), holds one scan's harvested cycles per round as edges,
+/// cost and delay, its walk counts and table size, and whether the scan
+/// ran to completion or stopped on a hit. find() replays an entry under
+/// its own query when the recorded rounds settle the scan, and otherwise
+/// runs the DP and overwrites the entry. Scans that throw DpLimitError are
+/// never recorded; past kMaxBytes of storage, new scans are not recorded.
+///
+/// An entry is only valid for the residual graph it was recorded on:
+/// cancel_cycles binds the memo to its start edge set and hands it to its
+/// first round only. Not thread-safe; one memo serves one solve.
+class AnchorScanMemo {
+ public:
+  /// Bound on the bytes of recorded cycles and rounds per memo.
+  static constexpr std::int64_t kMaxBytes = std::int64_t{8} << 20;
+
+  AnchorScanMemo();
+  ~AnchorScanMemo();
+  AnchorScanMemo(AnchorScanMemo&&) noexcept;
+  AnchorScanMemo& operator=(AnchorScanMemo&&) noexcept;
+  AnchorScanMemo(const AnchorScanMemo&) = delete;
+  AnchorScanMemo& operator=(const AnchorScanMemo&) = delete;
+
+  /// Binds the memo to the residual graph of `graph` with flow edge set
+  /// `start_edges`; any other binding than the current one (compared
+  /// exactly) drops every entry.
+  void bind(const graph::Digraph& graph,
+            const std::vector<graph::EdgeId>& start_edges);
+  /// Bytes of recorded cycles and rounds currently stored.
+  [[nodiscard]] std::int64_t stored_bytes() const;
 
   struct Impl;  // defined in bicameral.cc
   [[nodiscard]] Impl& impl() const { return *impl_; }
@@ -150,11 +210,15 @@ class BicameralCycleFinder {
   /// Finds a bicameral cycle in `residual` per `query`, or nullopt if none
   /// exists (at any budget up to the cap / total-cost bound). `ws`
   /// (optional) reuses the DP tables across calls; without one the call
-  /// uses a local workspace. Same result either way. Throws DpLimitError
-  /// when a scan's tables would exceed kMaxDpBytes.
+  /// uses a local workspace. `memo` (optional) replays anchor scans
+  /// recorded by earlier calls on the same residual graph and records new
+  /// ones; the caller must have bound it to `residual`. Same result and
+  /// stats with or without either. Throws DpLimitError when a scan's
+  /// tables would exceed kMaxDpBytes.
   [[nodiscard]] std::optional<FoundCycle> find(
       const ResidualGraph& residual, const BicameralQuery& query,
-      BicameralStats* stats = nullptr, BicameralWorkspace* ws = nullptr) const;
+      BicameralStats* stats = nullptr, BicameralWorkspace* ws = nullptr,
+      AnchorScanMemo* memo = nullptr) const;
 
   /// Classification per Definition 10 (exposed for tests and the LP
   /// reference finder).

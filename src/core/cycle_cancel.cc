@@ -10,7 +10,8 @@ namespace krsp::core {
 CycleCancelResult cancel_cycles(const Instance& inst, const PathSet& start,
                                 graph::Cost cost_guess,
                                 const CycleCancelOptions& options,
-                                BicameralWorkspace* finder_ws) {
+                                BicameralWorkspace* finder_ws,
+                                AnchorScanMemo* memo) {
   inst.validate();
   std::string why;
   KRSP_CHECK_MSG(start.is_valid(inst, &why), "cancel_cycles start: " << why);
@@ -27,6 +28,9 @@ CycleCancelResult cancel_cycles(const Instance& inst, const PathSet& start,
     // safety valve generously.
     max_iterations = 100000;
   }
+
+  if (options.unsafe_no_cap) memo = nullptr;
+  if (memo != nullptr) memo->bind(inst.graph, out.paths.all_edges());
 
   const BicameralCycleFinder finder(options.finder);
   // One residual graph rebuilt in place per round: the digraph's adjacency
@@ -75,11 +79,13 @@ CycleCancelResult cancel_cycles(const Instance& inst, const PathSet& start,
     // The finder is this implementation's RSP oracle: each round delegates
     // the restricted (cost-capped) negative-cycle search to the bicameral
     // walk DP over the residual graph, the role Algorithm 1 assigns to an
-    // RSP invocation.
+    // RSP invocation. Only the first round's residual is built from
+    // `start`, so only it may replay the memo.
     const auto cycle = [&] {
       KRSP_OBS_SPAN("rsp_oracle");
       return finder.find(*residual, query, &out.telemetry.finder_stats,
-                         finder_ws);
+                         finder_ws,
+                         out.telemetry.iterations == 0 ? memo : nullptr);
     }();
     if (!cycle) {
       out.status = CancelStatus::kNoBicameralCycle;

@@ -66,10 +66,17 @@ struct CycleCancelResult {
 /// satisfy the delay bound and cost <= start-cost-path + Ĉ (Lemma 11 gives
 /// <= 2·Ĉ when start comes from phase 1 and Ĉ >= C_OPT). `finder_ws`
 /// (optional) reuses the bicameral finder's DP tables across rounds and
-/// across solves; results are identical with or without it.
+/// across solves. `memo` (optional) carries first-round anchor scans
+/// across runs from the same start, e.g. the cost-guess search of one
+/// solve: the run binds it to `start`'s edge set (dropping entries
+/// recorded from any other start) and replays and records scans in its
+/// first round only, whose residual graph depends on `start` alone. The
+/// unsafe_no_cap ablation ignores it. Results and telemetry are identical
+/// with or without either.
 CycleCancelResult cancel_cycles(const Instance& inst, const PathSet& start,
                                 graph::Cost cost_guess,
                                 const CycleCancelOptions& options = {},
-                                BicameralWorkspace* finder_ws = nullptr);
+                                BicameralWorkspace* finder_ws = nullptr,
+                                AnchorScanMemo* memo = nullptr);
 
 }  // namespace krsp::core

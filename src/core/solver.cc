@@ -84,19 +84,30 @@ Solution KrspSolver::solve(const Instance& inst, const util::Deadline& deadline,
                            SolveWorkspace* ws) const {
   inst.validate();
   if (ws != nullptr) ++ws->solves_started;
+  // However the solve ends (a DpLimitError included), oversized DP tables
+  // go back to the allocator instead of staying with the workspace.
+  const auto release_excess = [ws] {
+    if (ws != nullptr) ws->finder.release_excess();
+  };
   const util::WallTimer timer;
   Solution s;
-  switch (options_.mode) {
-    case SolverOptions::Mode::kExactWeights:
-      s = solve_exact_weights(inst, deadline, ws);
-      break;
-    case SolverOptions::Mode::kScaled:
-      s = solve_scaled(inst, deadline, ws);
-      break;
-    case SolverOptions::Mode::kPhase1Only:
-      s = solve_phase1_only(inst, deadline, ws);
-      break;
+  try {
+    switch (options_.mode) {
+      case SolverOptions::Mode::kExactWeights:
+        s = solve_exact_weights(inst, deadline, ws);
+        break;
+      case SolverOptions::Mode::kScaled:
+        s = solve_scaled(inst, deadline, ws);
+        break;
+      case SolverOptions::Mode::kPhase1Only:
+        s = solve_phase1_only(inst, deadline, ws);
+        break;
+    }
+  } catch (...) {
+    release_excess();
+    throw;
   }
+  release_excess();
   s.telemetry.wall_seconds = timer.seconds();
   return s;
 }
@@ -135,6 +146,10 @@ Solution KrspSolver::solve_exact_weights(const Instance& inst,
 
   CycleCancelOptions cancel_options = options_.cancel;
   cancel_options.deadline = deadline;
+  // Every guess restarts cancellation from p1.paths, so every first round
+  // scans the same residual graph: later guesses replay the anchor scans
+  // earlier ones recorded instead of recomputing them.
+  AnchorScanMemo memo;
 
   std::optional<CycleCancelResult> best_run;
   graph::Cost best_guess = 0;
@@ -147,7 +162,7 @@ Solution KrspSolver::solve_exact_weights(const Instance& inst,
     }
     ++s.telemetry.guess_attempts;
     auto r = cancel_cycles(inst, p1.paths, guess, cancel_options,
-                           ws != nullptr ? &ws->finder : nullptr);
+                           ws != nullptr ? &ws->finder : nullptr, &memo);
     if (r.status == CancelStatus::kDeadlineExpired) deadline_cut = true;
     if (r.status != CancelStatus::kSuccess) return false;
     if (!best_run || guess < best_guess) {

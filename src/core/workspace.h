@@ -25,7 +25,8 @@ struct SolveWorkspace {
   /// Cached min-cost-flow network for phase 1's repeated Lagrangian calls.
   flow::McfWorkspace mcmf;
   /// Bicameral finder scratch: the flat rolling dist rows + packed parent
-  /// records, grown high-water across calls; see BicameralWorkspace.
+  /// records, grown high-water across calls and freed after a solve that
+  /// left them above BicameralWorkspace::kRetainBytes.
   BicameralWorkspace finder;
   /// Solves started through this workspace (telemetry only).
   std::uint64_t solves_started = 0;

@@ -1,26 +1,34 @@
 // Minimal command-line flag parsing for examples and benchmark drivers.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`. Unknown
-// flags are an error so typos in experiment scripts fail loudly.
+// flags, positional arguments and malformed numbers are a UsageError so
+// typos in experiment scripts fail loudly; a tool that catches it can
+// print its usage line and exit 2 instead of aborting.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "util/check.h"
-
 namespace krsp::util {
+
+/// A command line the program cannot accept: bad input, not a bug.
+class UsageError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class Cli {
  public:
   Cli(int argc, const char* const* argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
-      KRSP_CHECK_MSG(arg.rfind("--", 0) == 0, "unexpected argument: " << arg);
+      if (arg.rfind("--", 0) != 0)
+        throw UsageError("unexpected argument: " + arg);
       arg = arg.substr(2);
       const auto eq = arg.find('=');
       if (eq != std::string::npos) {
@@ -49,13 +57,18 @@ class Cli {
                                      std::int64_t def) const {
     const auto s = get_string(name, "");
     if (s.empty()) return def;
-    return std::stoll(s);
+    return parse<std::int64_t>(name, s, [](const std::string& v,
+                                           std::size_t* end) {
+      return std::stoll(v, end);
+    });
   }
 
   [[nodiscard]] double get_double(const std::string& name, double def) const {
     const auto s = get_string(name, "");
     if (s.empty()) return def;
-    return std::stod(s);
+    return parse<double>(name, s, [](const std::string& v, std::size_t* end) {
+      return std::stod(v, end);
+    });
   }
 
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const {
@@ -70,11 +83,27 @@ class Cli {
       bool known = false;
       for (const auto& t : touched_)
         if (t == name) known = true;
-      KRSP_CHECK_MSG(known, "unknown flag --" << name << "=" << value);
+      if (!known)
+        throw UsageError("unknown flag --" + name + "=" + value);
     }
   }
 
  private:
+  // Whole-token numeric parse: "12x" and "x" are usage errors, not 12 or
+  // an uncaught std::invalid_argument.
+  template <typename T, typename Parse>
+  static T parse(const std::string& name, const std::string& value,
+                 Parse parse_value) {
+    std::size_t end = 0;
+    try {
+      const auto parsed = parse_value(value, &end);
+      if (end == value.size()) return parsed;
+    } catch (const std::logic_error&) {
+      // invalid_argument or out_of_range: reported below.
+    }
+    throw UsageError("bad value for --" + name + ": " + value);
+  }
+
   std::map<std::string, std::string> values_;
   mutable std::vector<std::string> touched_;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/brute_force.h"
+#include "core/workspace.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -202,6 +203,59 @@ TEST(Solver, TelemetryPopulated) {
   EXPECT_GT(s.telemetry.guess_attempts, 0);
   EXPECT_GT(s.telemetry.cost_guess_used, 0);
   EXPECT_GE(s.telemetry.wall_seconds, 0.0);
+}
+
+TEST(Solver, WorkspaceGivesBackOversizedDpTables) {
+  // The exact-mode DP-limit instance of tools_smoke: the budget doubles to
+  // 2^20 (~200 MB of tables) before the 2^21 pass is refused.
+  Instance huge;
+  huge.graph.resize(4);
+  huge.graph.add_edge(0, 1, 1, 499999991);
+  huge.graph.add_edge(1, 3, 1, 499999993);
+  huge.graph.add_edge(0, 2, 499999937, 1);
+  huge.graph.add_edge(2, 3, 499999929, 2);
+  huge.s = 0;
+  huge.t = 3;
+  huge.k = 1;
+  huge.delay_bound = 700000001;
+
+  util::Rng rng(31);
+  RandomInstanceOptions opt;
+  opt.k = 2;
+  opt.delay_slack = 0.1;
+  std::optional<Instance> ordinary;
+  while (!ordinary) {
+    ordinary = random_er_instance(rng, 16, 0.3, opt);
+    if (ordinary && phase1_lagrangian(*ordinary).delay <=
+                        ordinary->delay_bound)
+      ordinary.reset();  // want one that runs cycle cancellation
+  }
+
+  SolverOptions o;
+  o.mode = SolverOptions::Mode::kExactWeights;
+  const KrspSolver solver(o);
+  const Solution fresh = solver.solve(*ordinary);
+  ASSERT_GT(fresh.telemetry.cancel.iterations, 0);
+
+  SolveWorkspace ws;
+  (void)solver.solve(*ordinary, {}, &ws);
+  const std::int64_t ordinary_bytes = ws.finder.retained_bytes();
+  EXPECT_GT(ordinary_bytes, 0);  // small tables stay for the next solve
+  EXPECT_THROW((void)solver.solve(huge, {}, &ws), DpLimitError);
+  EXPECT_LE(ws.finder.retained_bytes(), BicameralWorkspace::kRetainBytes);
+
+  const Solution after = solver.solve(*ordinary, {}, &ws);
+  EXPECT_EQ(after.status, fresh.status);
+  EXPECT_EQ(after.paths.paths(), fresh.paths.paths());
+  EXPECT_EQ(after.cost, fresh.cost);
+  EXPECT_EQ(after.delay, fresh.delay);
+  EXPECT_EQ(after.telemetry.cost_guess_used, fresh.telemetry.cost_guess_used);
+  EXPECT_EQ(after.telemetry.cancel.finder_stats.anchors_scanned,
+            fresh.telemetry.cancel.finder_stats.anchors_scanned);
+  EXPECT_EQ(after.telemetry.cancel.finder_stats.walks_examined,
+            fresh.telemetry.cancel.finder_stats.walks_examined);
+  EXPECT_EQ(after.telemetry.cancel.finder_stats.peak_dp_bytes,
+            fresh.telemetry.cancel.finder_stats.peak_dp_bytes);
 }
 
 }  // namespace

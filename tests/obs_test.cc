@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "api/krsp.h"
+#include "core/bicameral.h"
 #include "core/phase1.h"
 #include "flow/min_cost_flow.h"
 #include "obs/export.h"
@@ -226,6 +227,61 @@ TEST(ObsRegistry, Phase1WorkIsExported) {
   EXPECT_NE(text.find("\nkrsp_phase1_mcmf_calls_total "), std::string::npos);
   EXPECT_NE(text.find("\nkrsp_mcmf_network_rebuilds_total "),
             std::string::npos);
+}
+
+TEST(ObsRegistry, AnchorScanSourcesAreExported) {
+  Registry& reg = Registry::global();
+  Counter& dp =
+      reg.counter("krsp_bicameral_anchor_scans_total", "source=\"dp\"");
+  Counter& replay =
+      reg.counter("krsp_bicameral_anchor_scans_total", "source=\"replay\"");
+  // One qualifying cycle, 0->2->3->1->0 (cost 7, delay -2), reached after
+  // a few budgets of the doubling schedule.
+  graph::Digraph g(4);
+  g.add_edge(0, 1, 1, 4991);
+  g.add_edge(1, 3, 1, 4993);
+  g.add_edge(0, 2, 4937, 1);
+  g.add_edge(2, 3, 4929, 2);
+  const std::vector<graph::EdgeId> flow = {0, 1};
+  const core::ResidualGraph residual(g, flow);
+  core::BicameralQuery q;
+  q.cap = 20000;
+  q.ratio = util::Rational(-1, 2);
+  core::AnchorScanMemo memo;
+  memo.bind(g, flow);
+  const core::BicameralCycleFinder finder;
+
+  // First call: every scan runs the DP and is recorded.
+  std::uint64_t dp_before = dp.value();
+  std::uint64_t replay_before = replay.value();
+  core::BicameralStats first;
+  ASSERT_TRUE(finder.find(residual, q, &first, nullptr, &memo).has_value());
+  EXPECT_GT(first.anchors_scanned, 0);
+  EXPECT_EQ(dp.value() - dp_before,
+            static_cast<std::uint64_t>(first.anchors_scanned));
+  EXPECT_EQ(replay.value(), replay_before);
+
+  // Same residual, same query: every scan replays, with identical stats.
+  dp_before = dp.value();
+  replay_before = replay.value();
+  core::BicameralStats second;
+  ASSERT_TRUE(finder.find(residual, q, &second, nullptr, &memo).has_value());
+  EXPECT_EQ(second.anchors_scanned, first.anchors_scanned);
+  EXPECT_EQ(second.walks_examined, first.walks_examined);
+  EXPECT_EQ(second.cycles_classified, first.cycles_classified);
+  EXPECT_EQ(second.peak_dp_bytes, first.peak_dp_bytes);
+  EXPECT_EQ(replay.value() - replay_before,
+            static_cast<std::uint64_t>(second.anchors_scanned));
+  EXPECT_EQ(dp.value(), dp_before);
+
+  const std::string text = reg.render_prometheus();
+  EXPECT_NE(text.find("# TYPE krsp_bicameral_anchor_scans_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nkrsp_bicameral_anchor_scans_total{source=\"dp\"} "),
+            std::string::npos);
+  EXPECT_NE(
+      text.find("\nkrsp_bicameral_anchor_scans_total{source=\"replay\"} "),
+      std::string::npos);
 }
 
 TEST(ObsRegistry, SameKeyYieldsSameMetric) {

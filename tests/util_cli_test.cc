@@ -40,7 +40,7 @@ TEST(Cli, DefaultsUsedWhenAbsent) {
 
 TEST(Cli, RejectUnknownFlags) {
   const auto cli = make({"--oops=1"});
-  EXPECT_THROW(cli.reject_unknown(), CheckError);
+  EXPECT_THROW(cli.reject_unknown(), UsageError);
 }
 
 TEST(Cli, RejectUnknownPassesWhenAllTouched) {
@@ -51,7 +51,14 @@ TEST(Cli, RejectUnknownPassesWhenAllTouched) {
 
 TEST(Cli, NonFlagArgumentThrows) {
   std::vector<const char*> argv{"prog", "positional"};
-  EXPECT_THROW(Cli(2, argv.data()), CheckError);
+  EXPECT_THROW(Cli(2, argv.data()), UsageError);
+}
+
+TEST(Cli, MalformedNumbersAreUsageErrors) {
+  const auto cli = make({"--n=12x", "--eps=abc", "--big=99999999999999999999"});
+  EXPECT_THROW((void)cli.get_int("n", 0), UsageError);
+  EXPECT_THROW((void)cli.get_double("eps", 0.0), UsageError);
+  EXPECT_THROW((void)cli.get_int("big", 0), UsageError);
 }
 
 }  // namespace

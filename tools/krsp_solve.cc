@@ -20,32 +20,59 @@
 #include "obs/trace.h"
 #include "util/cli.h"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: krsp_solve --instance=<file> [--mode=scaled|exact|phase1] "
+    "[--eps1=0.25] [--eps2=0.25] [--eps=0.25] [--deadline=<seconds>] "
+    "[--guess=binary|doubling] [--out=<file>] [--trace-out=<file>] "
+    "[--verbose]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
-  const std::string path = cli.get_string("instance", "");
-  const std::string mode = cli.get_string("mode", "scaled");
-  const double eps = cli.get_double("eps", 0.25);  // back-compat alias
-  const double eps1 = cli.get_double("eps1", eps);
-  const double eps2 = cli.get_double("eps2", eps);
-  const double deadline = cli.get_double("deadline", 0.0);
-  const std::string guess = cli.get_string("guess", "binary");
-  const std::string out = cli.get_string("out", "");
-  const std::string trace_out = cli.get_string("trace-out", "");
-  const bool verbose = cli.get_bool("verbose", false);
-  cli.reject_unknown();
+  std::string path, mode, guess, out, trace_out;
+  double eps1 = 0.0, eps2 = 0.0, deadline = 0.0;
+  bool verbose = false;
+  // Bad command lines exit 2 with the usage line, never abort.
+  try {
+    const util::Cli cli(argc, argv);
+    path = cli.get_string("instance", "");
+    mode = cli.get_string("mode", "scaled");
+    const double eps = cli.get_double("eps", 0.25);  // back-compat alias
+    eps1 = cli.get_double("eps1", eps);
+    eps2 = cli.get_double("eps2", eps);
+    deadline = cli.get_double("deadline", 0.0);
+    guess = cli.get_string("guess", "binary");
+    out = cli.get_string("out", "");
+    trace_out = cli.get_string("trace-out", "");
+    verbose = cli.get_bool("verbose", false);
+    cli.reject_unknown();
+  } catch (const util::UsageError& e) {
+    std::cerr << "krsp_solve: " << e.what() << "\n" << kUsage;
+    return 2;
+  }
 
   if (path.empty()) {
-    std::cerr << "usage: krsp_solve --instance=<file> [--mode=scaled|exact|"
-                 "phase1] [--eps1=0.25] [--eps2=0.25] [--eps=0.25] "
-                 "[--deadline=<seconds>] [--guess=binary|doubling] "
-                 "[--out=<file>] [--trace-out=<file>] [--verbose]\n";
+    std::cerr << kUsage;
     return 2;
   }
   if (!trace_out.empty()) obs::Tracer::global().enable();
 
   api::SolveRequest request;
-  request.instance = api::read_instance_file(path);
+  // An unreadable or malformed instance file is an input error: print its
+  // (positioned) message and exit 1.
+  if (!std::ifstream(path).good()) {
+    std::cerr << "krsp_solve: cannot open for read: " << path << "\n";
+    return 1;
+  }
+  try {
+    request.instance = api::read_instance_file(path);
+  } catch (const std::exception& e) {
+    std::cerr << "krsp_solve: " << e.what() << "\n";
+    return 1;
+  }
   std::cout << "instance: " << request.instance.summary() << "\n";
 
   if (mode == "scaled") {

@@ -69,6 +69,38 @@ if(out MATCHES "KRSP_CHECK|bad_alloc")
   message(FATAL_ERROR "DP-limit instance: library check or allocation failure: ${out}")
 endif()
 
+# Fail closed: a bad command line exits 2 with the usage line, and an
+# unreadable or malformed instance exits 1 with its positioned message.
+# None of them may abort (rc 134).
+set(bad_kri "${WORK_DIR}/bad.kri")
+file(WRITE ${bad_kri} "x\n")
+foreach(case "--bogus=1" "positional")
+  execute_process(
+    COMMAND ${KRSP_SOLVE} --instance=${instance} ${case}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(rc EQUAL 134 OR NOT rc EQUAL 2)
+    message(FATAL_ERROR "krsp_solve ${case}: expected exit 2, got ${rc}: ${out}${err}")
+  endif()
+  if(NOT err MATCHES "usage: krsp_solve")
+    message(FATAL_ERROR "krsp_solve ${case}: no usage line: ${err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND ${KRSP_SOLVE} --instance=${bad_kri}
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 134 OR NOT rc EQUAL 1)
+  message(FATAL_ERROR "malformed .kri: expected exit 1, got ${rc}: ${out}${err}")
+endif()
+if(NOT err MATCHES "bad\\.kri: line 1, column [0-9]+: ")
+  message(FATAL_ERROR "malformed .kri: no positioned message: ${err}")
+endif()
+execute_process(
+  COMMAND ${KRSP_SOLVE} --instance=${WORK_DIR}/no_such_instance.kri
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 134 OR NOT rc EQUAL 1)
+  message(FATAL_ERROR "unreadable .kri: expected exit 1, got ${rc}: ${out}${err}")
+endif()
+
 # Back-compat: --eps must still be accepted, and the split knobs alongside.
 execute_process(
   COMMAND ${KRSP_SOLVE} --instance=${instance} --eps=0.5
