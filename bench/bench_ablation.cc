@@ -5,8 +5,6 @@
 //   (b) finder initial budget: the doubling schedule's starting point;
 //   (c) bounded DP rounds: max_rounds below n voids the witness guarantee —
 //       measures how often the finder then misses (falls back to F_hi).
-//
-// Usage: bench_ablation [--trials=25] [--n=12] [--seed=9]
 #include <iostream>
 
 #include "core/solver.h"
@@ -26,8 +24,10 @@ struct Config {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: bench_ablation [--trials=25] [--n=12] [--seed=9]\n";
+
+int run(const krsp::util::Cli& cli) {
   const int trials = static_cast<int>(cli.get_int("trials", 25));
   const int n = static_cast<int>(cli.get_int("n", 12));
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 9)));
@@ -122,4 +122,8 @@ int main(int argc, char** argv) {
                "witness guarantee needs up to n rounds) while never "
                "violating validity.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -7,9 +7,6 @@
 // request) is the dominant cost and the catalog's O(1) reference path is
 // the payoff being measured.
 //
-// Usage: bench_catalog --corpus=data/corpus [--requests=300]
-//                      [--mode=phase1] [--out=BENCH_catalog.json] [--smoke]
-//
 // Phases:
 //   identity   — every topology is solved once through each protocol
 //                form on fresh services; the response lines must be
@@ -24,10 +21,9 @@
 // Gate metrics (host-independent ratios, checked by check_bench.py):
 //   wire_bytes_ratio    — mean v1 request bytes / mean v2 request bytes.
 //   catalog_rps_speedup — v2 requests/sec / v1 requests/sec.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -35,6 +31,7 @@
 
 #include "api/krsp.h"
 #include "core/io.h"
+#include "harness.h"
 #include "server/service.h"
 #include "server/transport.h"
 #include "server/wire.h"
@@ -69,19 +66,6 @@ std::string topology_line(const std::string& topology, const std::string& id,
       .done();
 }
 
-/// Drops the per-request timing fields — the only legitimately
-/// nondeterministic response bytes — so lines can be compared directly.
-std::string strip_timing(std::string line) {
-  for (const char* key : {"\"queue_ms\":", "\"total_ms\":"}) {
-    const std::size_t pos = line.find(key);
-    if (pos == std::string::npos) continue;
-    const std::size_t end = line.find_first_of(",}", pos + std::strlen(key));
-    KRSP_CHECK(end != std::string::npos && pos > 0 && line[pos - 1] == ',');
-    line.erase(pos - 1, end - (pos - 1));
-  }
-  return line;
-}
-
 /// Serves `lines[r % lines.size()]` for r in [0, requests) on a fresh
 /// cache-enabled single-thread service; returns requests/sec. One
 /// untimed warmup round populates the cache first, so the measurement is
@@ -106,8 +90,11 @@ double run_form(const std::vector<std::string>& lines, int requests,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: bench_catalog --corpus=data/corpus [--requests=300] "
+    "[--mode=phase1] [--out=BENCH_catalog.json] [--smoke]\n";
+
+int run(const krsp::util::Cli& cli) {
   const bool smoke = cli.get_bool("smoke", false);
   const std::string corpus = cli.get_string("corpus", "data/corpus");
   const int requests =
@@ -152,8 +139,11 @@ int main(int argc, char** argv) {
     server::SolveService v2_service(api::ServerOptions{.num_threads = 1});
     server::LocalTransport v1(v1_service);
     server::LocalTransport v2(v2_service, &catalog);
-    const std::string a = strip_timing(v1.request(v1_lines[i]));
-    const std::string b = strip_timing(v2.request(v2_lines[i]));
+    // Timing fields are the only legitimately nondeterministic bytes.
+    const std::string a =
+        bench::drop_fields(v1.request(v1_lines[i]), {"queue_ms", "total_ms"});
+    const std::string b =
+        bench::drop_fields(v2.request(v2_lines[i]), {"queue_ms", "total_ms"});
     if (a != b) {
       identical = false;
       std::cout << "  MISMATCH on request " << i << ":\n    v1: " << a
@@ -170,36 +160,34 @@ int main(int argc, char** argv) {
   std::cout << "  throughput: v1 " << v1_rps << " req/s, v2 " << v2_rps
             << " req/s  (speedup " << speedup << "x)\n";
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "cannot write " << out_path << "\n";
-      return 1;
-    }
-    out << "{\n";
-    out << "  \"experiment\": \"E16\",\n";
-    out << "  \"config\": {\"topologies\": " << catalog.size()
-        << ", \"requests\": " << requests << ", \"mode\": \"" << mode
-        << "\"},\n";
-    out << "  \"identical\": " << (identical ? "true" : "false") << ",\n";
-    out << "  \"wire_bytes\": {\"v1_mean\": " << v1_bytes / count
-        << ", \"v2_mean\": " << v2_bytes / count << "},\n";
-    out << "  \"requests_per_sec\": {\"v1\": " << v1_rps
-        << ", \"v2\": " << v2_rps << "},\n";
-    out << "  \"gate\": {\n";
-    // The corpus graphs are ~16k edges, so inline requests are ~400KB
-    // against ~100B for a topology reference; 10x is the acceptance
-    // floor, the measured ratio is ~3 orders of magnitude.
-    out << "    \"wire_bytes_ratio\": {\"value\": " << wire_ratio
-        << ", \"direction\": \"higher\", \"min\": 10.0},\n";
-    // Saturate like E14's cache_speedup: past ~50x the ratio measures
-    // v1-side parse noise, not the catalog path. 2x is the bar.
-    out << "    \"catalog_rps_speedup\": {\"value\": "
-        << std::min(speedup, 50.0)
-        << ", \"direction\": \"higher\", \"min\": 2.0}\n";
-    out << "  }\n";
-    out << "}\n";
-    std::cout << "wrote " << out_path << "\n";
-  }
+  bench::GateReport report(
+      "E16",
+      server::wire::ObjectWriter()
+          .field("topologies", static_cast<std::int64_t>(catalog.size()))
+          .field("requests", std::int64_t{requests})
+          .field("mode", mode)
+          .done(),
+      identical);
+  report
+      .section("wire_bytes", server::wire::ObjectWriter()
+                                 .field("v1_mean", v1_bytes / count)
+                                 .field("v2_mean", v2_bytes / count)
+                                 .done())
+      .section("requests_per_sec", server::wire::ObjectWriter()
+                                       .field("v1", v1_rps)
+                                       .field("v2", v2_rps)
+                                       .done())
+      // The corpus graphs are ~16k edges, so inline requests are ~400KB
+      // against ~100B for a topology reference; 10x is the acceptance
+      // floor, the measured ratio is ~3 orders of magnitude.
+      .gate("wire_bytes_ratio", wire_ratio, 10.0)
+      // Saturate like E14's cache_speedup: past ~50x the ratio measures
+      // v1-side parse noise, not the catalog path. 2x is the bar.
+      .gate("catalog_rps_speedup", std::min(speedup, 50.0), 2.0);
+  if (!report.write(out_path)) return 1;
   return identical ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -9,9 +9,6 @@
 // availability, the local-repair vs full-re-solve split, time-to-repair,
 // anytime-degradation frequency, and the cost drift of the incrementally
 // maintained paths against a fresh-solve optimum on the degraded network.
-//
-// Usage: bench_chaos [--trials=8] [--n=24] [--events=200] [--seed=7]
-//                    [--deadline-ms=0] [--sim]
 #include <iostream>
 
 #include "core/solver.h"
@@ -21,10 +18,12 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
-  using namespace krsp;
+constexpr const char* kUsage =
+    "usage: bench_chaos [--trials=8] [--n=24] [--events=200] [--seed=7] "
+    "[--deadline-ms=0] [--sim]\n";
 
-  const util::Cli cli(argc, argv);
+int run(const krsp::util::Cli& cli) {
+  using namespace krsp;
   const int trials = static_cast<int>(cli.get_int("trials", 8));
   const int n = static_cast<int>(cli.get_int("n", 24));
   const int events = static_cast<int>(cli.get_int("events", 200));
@@ -148,4 +147,8 @@ int main(int argc, char** argv) {
                " availability stays high under churn, and cost drift stays "
                "a small constant factor above the fresh-solve optimum.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

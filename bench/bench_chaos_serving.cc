@@ -3,11 +3,6 @@
 // under injected transport faults, driven through the resilient client
 // (server/client.h) exactly as a production caller would be.
 //
-// Usage: bench_chaos_serving [--requests=120] [--pool=6] [--n=12]
-//                            [--seed=23] [--threads=0] [--clients=4]
-//                            [--retries=16] [--out=BENCH_chaos_serving.json]
-//                            [--smoke]
-//
 // Sweep: fault rates {0, 10%, 30%} of sends drawing a seeded fault
 // (garbage frame, mid-frame stall, truncate+close, reset, slow read).
 // Each rate runs the same closed-loop request mix against a fresh server;
@@ -32,7 +27,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
+#include <deque>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -40,12 +35,12 @@
 #include <vector>
 
 #include "api/krsp.h"
+#include "harness.h"
 #include "server/client.h"
 #include "server/transport.h"
 #include "server/wire.h"
 #include "util/cli.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
@@ -114,23 +109,13 @@ bool response_matches(const wire::Value& response,
 
 struct PhaseReport {
   double fault_rate = 0.0;
-  util::Stats latency_ms;
-  std::uint64_t succeeded = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t mismatches = 0;
+  bench::LoadReport load;  // served = eventually succeeded
   server::ClientCounters client;
-  double wall_seconds = 0.0;
 
-  [[nodiscard]] double success_frac() const {
-    const auto total = succeeded + failed;
-    return total == 0 ? 0.0
-                      : static_cast<double>(succeeded) /
-                            static_cast<double>(total);
-  }
   [[nodiscard]] double goodput() const {
-    return wall_seconds <= 0.0
+    return load.wall_seconds <= 0.0
                ? 0.0
-               : static_cast<double>(succeeded) / wall_seconds;
+               : static_cast<double>(load.served) / load.wall_seconds;
   }
 };
 
@@ -138,128 +123,64 @@ PhaseReport run_phase(const std::string& socket_path,
                       const std::vector<PoolEntry>& pool, int requests,
                       int clients, int retries, double fault_rate,
                       std::uint64_t fault_seed) {
-  struct WorkerReport {
-    std::vector<double> latency_ms;
-    std::uint64_t succeeded = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t mismatches = 0;
-    server::ClientCounters client;
-  };
-  std::vector<WorkerReport> reports(clients);
-  const auto t0 = Clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
+  // One resilient client per thread; each dials lazily on its own thread.
+  std::deque<server::ResilientClient> resilient;
   for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      WorkerReport& rep = reports[c];
-      server::RetryOptions retry;
-      retry.max_retries = retries;
-      retry.base_backoff_ms = 1.0;
-      retry.max_backoff_ms = 50.0;
-      retry.request_timeout_ms = 5000.0;
-      retry.jitter_seed = fault_seed + 500 + static_cast<std::uint64_t>(c);
-      server::FaultOptions faults;
-      faults.seed = fault_seed + static_cast<std::uint64_t>(c);
-      faults.fault_rate = fault_rate;
-      faults.stall_ms = 5;  // keep wall time bounded; the *ratio* gates
-      server::ResilientClient client(socket_path, retry, faults);
-      for (int r = c; r < requests; r += clients) {
+    server::RetryOptions retry;
+    retry.max_retries = retries;
+    retry.base_backoff_ms = 1.0;
+    retry.max_backoff_ms = 50.0;
+    retry.request_timeout_ms = 5000.0;
+    retry.jitter_seed = fault_seed + 500 + static_cast<std::uint64_t>(c);
+    server::FaultOptions faults;
+    faults.seed = fault_seed + static_cast<std::uint64_t>(c);
+    faults.fault_rate = fault_rate;
+    faults.stall_ms = 5;  // keep wall time bounded; the *ratio* gates
+    resilient.emplace_back(socket_path, retry, faults);
+  }
+  PhaseReport total;
+  total.fault_rate = fault_rate;
+  total.load = bench::fan_out(
+      clients, requests, [&](int c, int r, bench::Tally& tally) {
         const std::size_t i = static_cast<std::size_t>(r) % pool.size();
         const auto sent = Clock::now();
         std::string response_line;
         std::string error;
-        if (!client.request(pool[i].request_line, pool[i].id,
-                            /*idempotent=*/true, &response_line, &error)) {
-          ++rep.failed;
-          continue;
+        if (!resilient[static_cast<std::size_t>(c)].request(
+                pool[i].request_line, pool[i].id, /*idempotent=*/true,
+                &response_line, &error)) {
+          ++tally.failed;
+          return;
         }
-        rep.latency_ms.push_back(std::chrono::duration<double, std::milli>(
-                                     Clock::now() - sent)
-                                     .count());
+        tally.latency_ms.push_back(std::chrono::duration<double, std::milli>(
+                                       Clock::now() - sent)
+                                       .count());
         const auto response = wire::parse(response_line);
         if (!response.has_value() || !response->get_bool("served", false)) {
-          ++rep.failed;
-          continue;
+          ++tally.failed;
+          return;
         }
-        ++rep.succeeded;
+        ++tally.served;
         if (!response_matches(*response, pool[i].reference))
-          ++rep.mismatches;
-      }
-      rep.client = client.counters();
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  PhaseReport total;
-  total.fault_rate = fault_rate;
-  total.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  for (const auto& rep : reports) {
-    total.succeeded += rep.succeeded;
-    total.failed += rep.failed;
-    total.mismatches += rep.mismatches;
-    total.client.attempts += rep.client.attempts;
-    total.client.retries += rep.client.retries;
-    total.client.reconnects += rep.client.reconnects;
-    total.client.timeouts += rep.client.timeouts;
-    total.client.skipped_lines += rep.client.skipped_lines;
-    total.client.give_ups += rep.client.give_ups;
-    total.client.faults.injected += rep.client.faults.injected;
-    for (const double x : rep.latency_ms) total.latency_ms.add(x);
+          ++tally.mismatches;
+      });
+  for (const auto& client : resilient) {
+    const server::ClientCounters counters = client.counters();
+    total.client.retries += counters.retries;
+    total.client.reconnects += counters.reconnects;
+    total.client.faults.injected += counters.faults.injected;
   }
   return total;
 }
 
-void write_json(const std::string& path, int requests, int pool, int n,
-                int clients, int retries, bool identical,
-                const std::vector<PhaseReport>& sweep) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return;
-  }
-  const PhaseReport& clean = sweep[0];
-  const PhaseReport& faults10 = sweep[1];
-  const PhaseReport& faults30 = sweep[2];
-  const double goodput_ratio_10 =
-      clean.goodput() <= 0.0 ? 0.0 : faults10.goodput() / clean.goodput();
-  out << "{\n";
-  out << "  \"experiment\": \"E15\",\n";
-  out << "  \"config\": {\"requests\": " << requests << ", \"pool\": " << pool
-      << ", \"n\": " << n << ", \"clients\": " << clients
-      << ", \"retries\": " << retries << "},\n";
-  out << "  \"identical\": " << (identical ? "true" : "false") << ",\n";
-  out << "  \"sweep\": {\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const PhaseReport& ph = sweep[i];
-    out << "    \"rate_" << static_cast<int>(ph.fault_rate * 100 + 0.5)
-        << "\": {\"goodput_per_sec\": " << ph.goodput()
-        << ", \"p99_ms\": " << ph.latency_ms.percentile(99.0)
-        << ", \"retries\": " << ph.client.retries
-        << ", \"reconnects\": " << ph.client.reconnects
-        << ", \"faults_injected\": " << ph.client.faults.injected << "}"
-        << (i + 1 < sweep.size() ? "," : "") << "\n";
-  }
-  out << "  },\n";
-  out << "  \"gate\": {\n";
-  out << "    \"success_frac_10\": {\"value\": " << faults10.success_frac()
-      << ", \"direction\": \"higher\", \"min\": 1.0},\n";
-  out << "    \"success_frac_30\": {\"value\": " << faults30.success_frac()
-      << ", \"direction\": \"higher\", \"min\": 1.0},\n";
-  // Saturated at 0.5 (see file comment): the floor is the real bar, the
-  // saturation keeps baseline drift checks from flapping on solve noise.
-  out << "    \"goodput_ratio_10\": {\"value\": "
-      << std::min(goodput_ratio_10, 0.5)
-      << ", \"direction\": \"higher\", \"min\": 0.2}\n";
-  out << "  }\n";
-  out << "}\n";
-  std::cout << "wrote " << path << "\n";
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: bench_chaos_serving [--requests=120] [--pool=6] [--n=12] "
+    "[--seed=23] [--threads=0] [--clients=4] [--retries=16] "
+    "[--out=BENCH_chaos_serving.json] [--smoke]\n";
+
+int run(const krsp::util::Cli& cli) {
   const bool smoke = cli.get_bool("smoke", false);
   const int requests =
       static_cast<int>(cli.get_int("requests", smoke ? 48 : 120));
@@ -305,7 +226,7 @@ int main(int argc, char** argv) {
     socket_server.request_stop();
     accept_thread.join();
     service.drain();
-    all_identical = all_identical && sweep.back().mismatches == 0;
+    all_identical = all_identical && sweep.back().load.mismatches == 0;
   }
 
   util::Table table({"fault rate", "succeeded", "failed", "goodput/s",
@@ -313,10 +234,10 @@ int main(int argc, char** argv) {
   for (const auto& ph : sweep) {
     table.row()
         .cell_fp(ph.fault_rate, 2)
-        .cell(static_cast<std::int64_t>(ph.succeeded))
-        .cell(static_cast<std::int64_t>(ph.failed))
+        .cell(static_cast<std::int64_t>(ph.load.served))
+        .cell(static_cast<std::int64_t>(ph.load.failed))
         .cell_fp(ph.goodput(), 1)
-        .cell_fp(ph.latency_ms.percentile(99.0), 2)
+        .cell_fp(ph.load.latency_ms.percentile(99.0), 2)
         .cell(static_cast<std::int64_t>(ph.client.retries))
         .cell(static_cast<std::int64_t>(ph.client.reconnects))
         .cell(static_cast<std::int64_t>(ph.client.faults.injected));
@@ -326,17 +247,47 @@ int main(int argc, char** argv) {
                "worker's solve rate; the gated quantities (success "
                "fractions, goodput ratio) are host-independent.\n";
 
-  if (out_path.empty() && smoke)
-    std::cout << "(smoke run: pass --out=... to emit the gate JSON)\n";
-  if (!out_path.empty())
-    write_json(out_path, requests, pool_size, n, clients, retries,
-               all_identical, sweep);
+  const PhaseReport& clean = sweep[0];
+  const PhaseReport& faults10 = sweep[1];
+  const PhaseReport& faults30 = sweep[2];
+  const double goodput_ratio_10 =
+      clean.goodput() <= 0.0 ? 0.0 : faults10.goodput() / clean.goodput();
+  server::wire::ObjectWriter rates_json;
+  for (const PhaseReport& ph : sweep)
+    rates_json.raw(
+        "rate_" + std::to_string(static_cast<int>(ph.fault_rate * 100 + 0.5)),
+        server::wire::ObjectWriter()
+            .field("goodput_per_sec", ph.goodput())
+            .field("p99_ms", ph.load.latency_ms.percentile(99.0))
+            .field("retries", ph.client.retries)
+            .field("reconnects", ph.client.reconnects)
+            .field("faults_injected", ph.client.faults.injected)
+            .done());
+  bench::GateReport report(
+      "E15",
+      server::wire::ObjectWriter()
+          .field("requests", std::int64_t{requests})
+          .field("pool", std::int64_t{pool_size})
+          .field("n", std::int64_t{n})
+          .field("clients", std::int64_t{clients})
+          .field("retries", std::int64_t{retries})
+          .done(),
+      all_identical);
+  report.section("sweep", rates_json.done())
+      .gate("success_frac_10", faults10.load.served_frac(), 1.0)
+      .gate("success_frac_30", faults30.load.served_frac(), 1.0)
+      // Saturated at 0.5 (see file comment): the floor is the real bar,
+      // the saturation keeps baseline drift checks from flapping on solve
+      // noise.
+      .gate("goodput_ratio_10", std::min(goodput_ratio_10, 0.5), 0.2);
+  if (!report.write(out_path)) return 1;
 
   int rc = 0;
   for (const auto& ph : sweep) {
-    if (ph.failed > 0) {
-      std::cerr << "FAIL: " << ph.failed << " request(s) never succeeded at "
-                << "fault rate " << ph.fault_rate << "\n";
+    if (ph.load.failed > 0) {
+      std::cerr << "FAIL: " << ph.load.failed
+                << " request(s) never succeeded at fault rate "
+                << ph.fault_rate << "\n";
       rc = 1;
     }
     if (ph.fault_rate > 0.0 && ph.client.faults.injected == 0) {
@@ -355,4 +306,8 @@ int main(int argc, char** argv) {
               << " requests eventually served bit-identical under every "
                  "fault rate\n";
   return rc;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

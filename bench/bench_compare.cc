@@ -3,8 +3,6 @@
 // The paper's algorithm (both modes) against the prior art and naive
 // baselines on Waxman and grid workloads: cost (normalized to the best
 // feasible cost found), delay feasibility, wall time.
-//
-// Usage: bench_compare [--trials=20] [--seed=2]
 #include <iostream>
 
 #include "baselines/flow_only.h"
@@ -60,8 +58,10 @@ std::vector<Algo> algorithms() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: bench_compare [--trials=20] [--seed=2]\n";
+
+int run(const krsp::util::Cli& cli) {
   const int trials = static_cast<int>(cli.get_int("trials", 20));
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 2)));
   cli.reject_unknown();
@@ -160,4 +160,8 @@ int main(int argc, char** argv) {
                "LARAC-k / OS-CC on cost while staying delay-feasible; "
                "min-cost flow violates the bound, min-delay flow overpays.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -4,8 +4,6 @@
 // actually engages); sweep ε and report solution quality (vs the exact-
 // weights solver as reference) and wall time. Theorem 4 predicts
 // delay <= (1+ε)D, cost <= (2+ε)C_OPT, runtime growing as ε shrinks.
-//
-// Usage: bench_epsilon [--trials=10] [--n=12] [--seed=5] [--csv=out.csv]
 #include <fstream>
 #include <iostream>
 
@@ -15,9 +13,12 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage =
+    "usage: bench_epsilon [--trials=10] [--n=12] [--seed=5] "
+    "[--csv=out.csv]\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 10));
   const int n = static_cast<int>(cli.get_int("n", 12));
   const std::string csv_path = cli.get_string("csv", "");
@@ -101,4 +102,8 @@ int main(int argc, char** argv) {
                "reference as eps shrinks (cost/ref -> 1, delay/D <= 1+eps); "
                "runtime grows as eps shrinks.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

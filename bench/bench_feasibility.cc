@@ -4,8 +4,6 @@
 // k disjoint s-t paths (Dinic oracle), and (b) report kInfeasible exactly
 // when the min-delay k-flow misses D. Sweeps connectivity and budget
 // tightness; any mismatch is a correctness bug and the row would show it.
-//
-// Usage: bench_feasibility [--trials=40] [--seed=7]
 #include <iostream>
 
 #include "core/solver.h"
@@ -14,9 +12,11 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage =
+    "usage: bench_feasibility [--trials=40] [--seed=7]\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 40));
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 7)));
   cli.reject_unknown();
@@ -87,4 +87,8 @@ int main(int argc, char** argv) {
                "tight-1 rows are all infeasible-or-no-k, loose rows all "
                "solved-or-no-k.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

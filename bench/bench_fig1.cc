@@ -3,8 +3,6 @@
 // Reproduces the gadget of Section 3.1: cycle cancellation *without* the
 // bicameral cost cap outputs cost C_OPT*(D+1)-1 (ratio ~ D+1), while the
 // capped algorithm returns the optimum. One row per delay bound D.
-//
-// Usage: bench_fig1 [--c_opt=5] [--d_values=2,4,8,16,32,64]
 #include <iostream>
 #include <sstream>
 
@@ -27,9 +25,11 @@ std::vector<krsp::graph::Delay> parse_list(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage =
+    "usage: bench_fig1 [--c_opt=5] [--d_values=2,4,8,16,32,64]\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
   const auto c_opt = cli.get_int("c_opt", 5);
   const auto d_values = parse_list(cli.get_string("d_values", "2,4,8,16,32,64"));
   cli.reject_unknown();
@@ -82,4 +82,8 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: capped ratio stays at 1 (<= 2 in general); "
                "uncapped ratio grows linearly in D.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -13,9 +13,10 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage = "usage: bench_fig2\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
   cli.reject_unknown();
 
   const auto fig = gen::figure2_example();
@@ -84,4 +85,8 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: the positive-cost (0 < c <= B) delay-"
                "reducing cycle x->z->y->x with cost 1, delay -6 is found.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -3,11 +3,6 @@
 // tail behaviour under overload with per-shard admission, and the
 // routed-equals-direct identity contract.
 //
-// Usage: bench_fleet --corpus=data/corpus [--queries=64] [--cache=48]
-//                    [--requests=600] [--workers=2] [--trials=3]
-//                    [--overload-workers=8] [--overload-requests=160]
-//                    [--out=BENCH_fleet.json] [--smoke]
-//
 // Topology: in-process per the E15 idiom — each shard is a real
 // SolveService behind a real SocketServer on its own /tmp Unix socket
 // with an accept thread; the Router (router/router.h) fronts them
@@ -57,8 +52,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -67,13 +60,13 @@
 #include <vector>
 
 #include "api/krsp.h"
+#include "harness.h"
 #include "router/router.h"
 #include "server/transport.h"
 #include "server/wire.h"
 #include "store/catalog.h"
 #include "util/check.h"
 #include "util/cli.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
@@ -98,20 +91,6 @@ std::string query_line(graph::Delay delay_bound, const std::string& id,
       .field("delay_bound", static_cast<std::int64_t>(delay_bound))
       .field("mode", mode)
       .done();
-}
-
-/// Drops the timing fields and the router-injected served_by so routed
-/// and direct response lines compare with operator==.
-std::string strip_variable(std::string line) {
-  for (const char* key :
-       {"\"queue_ms\":", "\"total_ms\":", "\"served_by\":"}) {
-    const std::size_t pos = line.find(key);
-    if (pos == std::string::npos) continue;
-    const std::size_t end = line.find_first_of(",}", pos + std::strlen(key));
-    KRSP_CHECK(end != std::string::npos && pos > 0 && line[pos - 1] == ',');
-    line.erase(pos - 1, end - (pos - 1));
-  }
-  return line;
 }
 
 /// A fleet of S in-process shards behind one Router: real sockets, real
@@ -175,31 +154,14 @@ class Fleet {
 
 struct PhaseReport {
   int shards = 0;
-  std::uint64_t served = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t errors = 0;
-  util::Stats latency_ms;
-  double wall_seconds = 0.0;
+  bench::LoadReport load;  // failed = transport-level errors
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 
-  [[nodiscard]] std::uint64_t total() const {
-    return served + rejected + errors;
-  }
   [[nodiscard]] double throughput() const {
-    return wall_seconds <= 0.0
+    return load.wall_seconds <= 0.0
                ? 0.0
-               : static_cast<double>(total()) / wall_seconds;
-  }
-  [[nodiscard]] double served_frac() const {
-    return total() == 0
-               ? 0.0
-               : static_cast<double>(served) / static_cast<double>(total());
-  }
-  [[nodiscard]] double rejection_rate() const {
-    return total() == 0
-               ? 0.0
-               : static_cast<double>(rejected) / static_cast<double>(total());
+               : static_cast<double>(load.total()) / load.wall_seconds;
   }
   [[nodiscard]] double hit_rate() const {
     const auto lookups = cache_hits + cache_misses;
@@ -218,49 +180,25 @@ PhaseReport run_phase(Fleet& fleet, const std::vector<std::string>& queries,
   if (warmup)
     for (const auto& line : queries) (void)router.handle_line(line);
 
-  struct WorkerReport {
-    std::uint64_t served = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t errors = 0;
-    std::vector<double> latency_ms;
-  };
-  std::vector<WorkerReport> reports(workers);
-  const auto t0 = Clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      WorkerReport& rep = reports[w];
-      for (int r = w; r < requests; r += workers) {
+  PhaseReport total;
+  total.shards = num_shards;
+  total.load = bench::fan_out(
+      workers, requests, [&](int, int r, bench::Tally& tally) {
         const auto& line =
             queries[static_cast<std::size_t>(r) % queries.size()];
         const auto sent = Clock::now();
         const std::string response_line = router.handle_line(line);
-        rep.latency_ms.push_back(std::chrono::duration<double, std::milli>(
-                                     Clock::now() - sent)
-                                     .count());
+        tally.latency_ms.push_back(std::chrono::duration<double, std::milli>(
+                                       Clock::now() - sent)
+                                       .count());
         const auto response = wire::parse(response_line);
         if (!response.has_value() || !response->get_bool("ok", false))
-          ++rep.errors;
+          ++tally.failed;
         else if (response->get_bool("served", false))
-          ++rep.served;
+          ++tally.served;
         else
-          ++rep.rejected;  // per-shard admission: a structured shed
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  PhaseReport total;
-  total.shards = num_shards;
-  total.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  for (const auto& rep : reports) {
-    total.served += rep.served;
-    total.rejected += rep.rejected;
-    total.errors += rep.errors;
-    for (const double x : rep.latency_ms) total.latency_ms.add(x);
-  }
+          ++tally.rejected;  // per-shard admission: a structured shed
+      });
   for (int s = 0; s < num_shards; ++s) {
     const auto stats = fleet.shard_stats(static_cast<std::size_t>(s));
     total.cache_hits += stats.cache_hits;
@@ -271,8 +209,13 @@ PhaseReport run_phase(Fleet& fleet, const std::vector<std::string>& queries,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: bench_fleet --corpus=data/corpus [--queries=64] "
+    "[--cache=48] [--requests=600] [--workers=2] [--trials=3] "
+    "[--overload-workers=8] [--overload-requests=160] [--mode=exact] "
+    "[--out=BENCH_fleet.json] [--smoke]\n";
+
+int run(const krsp::util::Cli& cli) {
   const bool smoke = cli.get_bool("smoke", false);
   const std::string corpus = cli.get_string("corpus", "data/corpus");
   const int queries = static_cast<int>(cli.get_int("queries", smoke ? 16 : 64));
@@ -321,9 +264,12 @@ int main(int argc, char** argv) {
     server::SolveService direct_service(api::ServerOptions{.num_threads = 1});
     server::LocalTransport direct(direct_service, &catalog);
     for (const auto& line : lines) {
-      const std::string routed =
-          strip_variable(fleet.router().handle_line(line));
-      const std::string expected = strip_variable(direct.request(line));
+      // Timing fields and the router-injected served_by may differ.
+      const std::string routed = bench::drop_fields(
+          fleet.router().handle_line(line),
+          {"queue_ms", "total_ms", "served_by"});
+      const std::string expected = bench::drop_fields(
+          direct.request(line), {"queue_ms", "total_ms", "served_by"});
       if (routed != expected) {
         identical = false;
         std::cout << "  MISMATCH:\n    routed: " << routed
@@ -362,11 +308,11 @@ int main(int argc, char** argv) {
   for (const auto& ph : sweep) {
     table.row()
         .cell(static_cast<std::int64_t>(ph.shards))
-        .cell(static_cast<std::int64_t>(ph.served))
-        .cell(static_cast<std::int64_t>(ph.rejected))
+        .cell(static_cast<std::int64_t>(ph.load.served))
+        .cell(static_cast<std::int64_t>(ph.load.rejected))
         .cell_fp(ph.throughput(), 1)
-        .cell_fp(ph.latency_ms.percentile(50.0), 3)
-        .cell_fp(ph.latency_ms.percentile(99.0), 3)
+        .cell_fp(ph.load.latency_ms.percentile(50.0), 3)
+        .cell_fp(ph.load.latency_ms.percentile(99.0), 3)
         .cell_fp(ph.hit_rate(), 3);
   }
   table.print();
@@ -375,58 +321,49 @@ int main(int argc, char** argv) {
   const double ratio = x1 <= 0.0 ? 0.0 : x2 / x1;
   double min_served_frac = 1.0;
   for (const auto& ph : sweep)
-    min_served_frac = std::min(min_served_frac, ph.served_frac());
+    min_served_frac = std::min(min_served_frac, ph.load.served_frac());
   std::cout << "\n  2-shard vs 1-shard aggregate throughput: " << ratio
             << "x (cache capacity, not cores: 1 shard thrashes "
             << queries << " queries through " << cache << " entries)\n";
   std::cout << "  overload (" << overload_workers << " workers, queue 2, "
-            << "cache off): served " << overload.served << ", shed "
-            << overload.rejected << " ("
-            << overload.rejection_rate() * 100.0 << "%), served p99 "
-            << overload.latency_ms.percentile(99.0) << " ms\n";
+            << "cache off): served " << overload.load.served << ", shed "
+            << overload.load.rejected << " ("
+            << overload.load.rejection_rate() * 100.0 << "%), served p99 "
+            << overload.load.latency_ms.percentile(99.0) << " ms\n";
 
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << "cannot write " << out_path << "\n";
-      return 1;
-    }
-    out << "{\n";
-    out << "  \"experiment\": \"E18\",\n";
-    out << "  \"config\": {\"queries\": " << queries << ", \"cache\": "
-        << cache << ", \"requests\": " << requests << ", \"workers\": "
-        << workers << ", \"trials\": " << trials
-        << ", \"overload_workers\": " << overload_workers
-        << ", \"mode\": \"" << mode << "\"},\n";
-    out << "  \"identical\": " << (identical ? "true" : "false") << ",\n";
-    out << "  \"sweep\": {\n";
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-      const PhaseReport& ph = sweep[i];
-      out << "    \"shards_" << ph.shards
-          << "\": {\"throughput_per_sec\": " << ph.throughput()
-          << ", \"p99_ms\": " << ph.latency_ms.percentile(99.0)
-          << ", \"hit_rate\": " << ph.hit_rate() << "}"
-          << (i + 1 < sweep.size() ? "," : "") << "\n";
-    }
-    out << "  },\n";
-    out << "  \"overload\": {\"served\": " << overload.served
-        << ", \"rejected\": " << overload.rejected
-        << ", \"p99_ms\": " << overload.latency_ms.percentile(99.0) << "},\n";
-    out << "  \"gate\": {\n";
-    // Saturated at 4.0 (see file comment): the 1.7 floor is the bar, the
-    // cap keeps baseline drift checks off the hit-path noise.
-    out << "    \"throughput_x2_vs_x1\": {\"value\": "
-        << std::min(ratio, 4.0)
-        << ", \"direction\": \"higher\", \"min\": 1.7},\n";
-    out << "    \"fleet_served_frac\": {\"value\": " << min_served_frac
-        << ", \"direction\": \"higher\", \"min\": 1.0},\n";
-    out << "    \"overload_rejection_rate\": {\"value\": "
-        << overload.rejection_rate()
-        << ", \"direction\": \"higher\", \"min\": 0.02}\n";
-    out << "  }\n";
-    out << "}\n";
-    std::cout << "wrote " << out_path << "\n";
-  }
+  server::wire::ObjectWriter shards_json;
+  for (const PhaseReport& ph : sweep)
+    shards_json.raw("shards_" + std::to_string(ph.shards),
+                    server::wire::ObjectWriter()
+                        .field("throughput_per_sec", ph.throughput())
+                        .field("p99_ms", ph.load.latency_ms.percentile(99.0))
+                        .field("hit_rate", ph.hit_rate())
+                        .done());
+  bench::GateReport report(
+      "E18",
+      server::wire::ObjectWriter()
+          .field("queries", std::int64_t{queries})
+          .field("cache", static_cast<std::int64_t>(cache))
+          .field("requests", std::int64_t{requests})
+          .field("workers", std::int64_t{workers})
+          .field("trials", std::int64_t{trials})
+          .field("overload_workers", std::int64_t{overload_workers})
+          .field("mode", mode)
+          .done(),
+      identical);
+  report.section("sweep", shards_json.done())
+      .section("overload",
+               server::wire::ObjectWriter()
+                   .field("served", overload.load.served)
+                   .field("rejected", overload.load.rejected)
+                   .field("p99_ms", overload.load.latency_ms.percentile(99.0))
+                   .done())
+      // Saturated at 4.0 (see file comment): the 1.7 floor is the bar, the
+      // cap keeps baseline drift checks off the hit-path noise.
+      .gate("throughput_x2_vs_x1", std::min(ratio, 4.0), 1.7)
+      .gate("fleet_served_frac", min_served_frac, 1.0)
+      .gate("overload_rejection_rate", overload.load.rejection_rate(), 0.02);
+  if (!report.write(out_path)) return 1;
 
   int rc = 0;
   if (!identical) {
@@ -438,13 +375,13 @@ int main(int argc, char** argv) {
               << min_served_frac << ")\n";
     rc = 1;
   }
-  if (overload.rejected == 0) {
+  if (overload.load.rejected == 0) {
     std::cerr << "FAIL: overload phase shed nothing — per-shard admission "
                  "is inert\n";
     rc = 1;
   }
-  if (overload.errors > 0) {
-    std::cerr << "FAIL: " << overload.errors
+  if (overload.load.failed > 0) {
+    std::cerr << "FAIL: " << overload.load.failed
               << " transport-level error(s) under overload\n";
     rc = 1;
   }
@@ -452,4 +389,8 @@ int main(int argc, char** argv) {
     std::cout << "\nall phases passed: identity, " << sweep.size()
               << "-point shard sweep, overload shedding\n";
   return rc;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -3,8 +3,6 @@
 // On trade-off-chain instances (engineered delay overshoot after phase 1)
 // measures: iteration counts, cycle type mix, monotonicity of the ratio
 // trace r_i (Lemma 12 predicts non-decreasing), and finder work counters.
-//
-// Usage: bench_iterations [--trials=15] [--seed=4]
 #include <iostream>
 
 #include "core/cycle_cancel.h"
@@ -15,9 +13,11 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage =
+    "usage: bench_iterations [--trials=15] [--seed=4]\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 15));
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 4)));
   cli.reject_unknown();
@@ -81,4 +81,8 @@ int main(int argc, char** argv) {
                "Lemma-13 pseudo-polynomial bound |D|*Sum(c)*Sum(d)); the "
                "ratio trace is monotone in 100% of runs (Lemma 12).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -12,25 +12,21 @@
 // must be identical, and the replay must end on cancel_cycles' own paths,
 // so the speedup cannot come from changed semantics.
 //
-// Usage: bench_kernel [--n=256] [--instances=4] [--k=3] [--reps=3]
-//                     [--seed=13] [--out=BENCH_kernel.json] [--smoke]
-//
 // --smoke shrinks the suite for CI; scripts/check_bench.py compares the
 // emitted JSON against the committed BENCH_kernel.json baseline and fails
 // on regression. Gate metrics are ratios of two kernels timed on the same
 // host and thread (speedup, pruned fraction, memory ratio); the JSON also
 // records the host shape (nproc, build type) they were measured on.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/krsp.h"
 #include "flow/decompose.h"
 #include "flow/disjoint.h"
+#include "harness.h"
 #include "oracles/bicameral_reference.h"
 #include "util/cli.h"
 #include "util/rng.h"
@@ -133,48 +129,13 @@ Replay replay(const Workload& w) {
   return out;
 }
 
-void write_json(const std::string& path, int n, int instances, int k,
-                int reps, std::uint64_t seed, bool smoke, bool all_identical,
-                int rounds, double pruned_ms, double ablation_ms,
-                double pruned_frac, std::int64_t sccs_skipped,
-                std::int64_t pruned_peak_bytes,
-                std::int64_t ablation_peak_bytes) {
-  std::ofstream out(path);
-  out << "{\n";
-  out << "  \"experiment\": \"E13\",\n";
-  out << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
-      << ", \"build_type\": \"" << KRSP_BUILD_TYPE << "\"},\n";
-  out << "  \"config\": {\"n\": " << n << ", \"instances\": " << instances
-      << ", \"k\": " << k << ", \"reps\": " << reps << ", \"seed\": " << seed
-      << ", \"smoke\": " << (smoke ? "true" : "false") << "},\n";
-  out << "  \"identical\": " << (all_identical ? "true" : "false") << ",\n";
-  out << "  \"rounds\": " << rounds << ",\n";
-  out << "  \"wall_ms\": {\"pruned_serial\": " << pruned_ms
-      << ", \"ablation_serial\": " << ablation_ms << "},\n";
-  out << "  \"memory\": {\"pruned_peak_dp_bytes\": " << pruned_peak_bytes
-      << ", \"ablation_peak_dp_bytes\": " << ablation_peak_bytes << "},\n";
-  out << "  \"telemetry\": {\"sccs_skipped\": " << sccs_skipped << "},\n";
-  // "min" is an absolute floor enforced by check_bench.py on top of the
-  // 25% relative-regression rule.
-  out << "  \"gate\": {\n";
-  out << "    \"speedup_serial\": {\"value\": " << ablation_ms / pruned_ms
-      << ", \"direction\": \"higher\", \"min\": 1.5},\n";
-  out << "    \"anchors_pruned_frac\": {\"value\": " << pruned_frac
-      << ", \"direction\": \"higher\", \"min\": 0.5},\n";
-  out << "    \"dp_bytes_ratio\": {\"value\": "
-      << (pruned_peak_bytes > 0
-              ? static_cast<double>(ablation_peak_bytes) /
-                    static_cast<double>(pruned_peak_bytes)
-              : 0.0)
-      << ", \"direction\": \"higher\", \"min\": 1.0}\n";
-  out << "  }\n";
-  out << "}\n";
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: bench_kernel [--n=256] [--instances=4] [--k=3] [--reps=3] "
+    "[--seed=13] [--out=BENCH_kernel.json] [--smoke]\n";
+
+int run(const krsp::util::Cli& cli) {
   const bool smoke = cli.get_bool("smoke", false);
   const int n = static_cast<int>(cli.get_int("n", smoke ? 64 : 256));
   const int instances =
@@ -263,13 +224,40 @@ int main(int argc, char** argv) {
             << ", peak DP bytes: " << pruned_stats_total.peak_dp_bytes
             << " (pruned) vs " << ablation_peak_bytes << " (ablation)\n";
 
-  if (!out_path.empty()) {
-    write_json(out_path, n, static_cast<int>(suite.size()), k, reps, seed,
-               smoke, all_identical, rounds, pruned_ms, ablation_ms,
-               pruned_frac, pruned_stats_total.sccs_skipped,
-               pruned_stats_total.peak_dp_bytes, ablation_peak_bytes);
-    std::cout << "wrote " << out_path << "\n";
-  }
+  bench::GateReport report(
+      "E13",
+      server::wire::ObjectWriter()
+          .field("n", std::int64_t{n})
+          .field("instances", static_cast<std::int64_t>(suite.size()))
+          .field("k", std::int64_t{k})
+          .field("reps", std::int64_t{reps})
+          .field("seed", seed)
+          .field("smoke", smoke)
+          .done(),
+      all_identical);
+  const auto peak = pruned_stats_total.peak_dp_bytes;
+  report.section("rounds", rounds)
+      .section("wall_ms", server::wire::ObjectWriter()
+                              .field("pruned_serial", pruned_ms)
+                              .field("ablation_serial", ablation_ms)
+                              .done())
+      .section("memory", server::wire::ObjectWriter()
+                             .field("pruned_peak_dp_bytes", peak)
+                             .field("ablation_peak_dp_bytes",
+                                    ablation_peak_bytes)
+                             .done())
+      .section("telemetry",
+               server::wire::ObjectWriter()
+                   .field("sccs_skipped", pruned_stats_total.sccs_skipped)
+                   .done())
+      .gate("speedup_serial", ablation_ms / pruned_ms, 1.5)
+      .gate("anchors_pruned_frac", pruned_frac, 0.5)
+      .gate("dp_bytes_ratio",
+            peak > 0 ? static_cast<double>(ablation_peak_bytes) /
+                           static_cast<double>(peak)
+                     : 0.0,
+            1.0);
+  if (!report.write(out_path)) return 1;
 
   if (!all_identical) {
     std::cerr << "FAIL: production and reference cycles diverged, or the "
@@ -278,4 +266,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "every round bit-identical\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

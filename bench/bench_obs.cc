@@ -3,10 +3,6 @@
 // versus disabled, on the E14 serving workload, and results must stay
 // bit-identical either way (spans and metrics are pure observers).
 //
-// Usage: bench_obs [--requests=4800] [--pool=8] [--n=14] [--seed=21]
-//                  [--threads=1] [--clients=1] [--trials=3]
-//                  [--out=BENCH_obs.json] [--smoke]
-//
 // Method. The gated overhead_ratio is the ARITHMETIC overhead bound
 //
 //   overhead = span_cost_ns * spans_per_request / request_cpu_ns
@@ -41,8 +37,6 @@
 #include <ctime>
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iostream>
 #include <set>
 #include <string>
@@ -50,44 +44,15 @@
 #include <vector>
 
 #include "api/krsp.h"
+#include "harness.h"
 #include "obs/trace.h"
 #include "server/service.h"
 #include "util/cli.h"
-#include "util/rng.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace krsp;
-using Clock = std::chrono::steady_clock;
-
-std::vector<api::SolveRequest> build_pool(int pool_size, int n,
-                                          std::uint64_t seed) {
-  std::vector<api::SolveRequest> pool;
-  pool.reserve(pool_size);
-  util::Rng rng(seed);
-  while (static_cast<int>(pool.size()) < pool_size) {
-    api::RandomInstanceOptions io;
-    io.k = 2 + static_cast<int>(pool.size() % 2);
-    io.delay_slack = 0.25;
-    auto inst = api::random_er_instance(rng, n, 0.35, io);
-    if (!inst) continue;
-    api::SolveRequest req;
-    req.instance = std::move(*inst);
-    req.mode = pool.size() % 2 == 0 ? api::Mode::kExactWeights
-                                    : api::Mode::kScaled;
-    req.tag = "pool-" + std::to_string(pool.size());
-    pool.push_back(std::move(req));
-  }
-  return pool;
-}
-
-bool same_result(const api::SolveResult& a, const api::SolveResult& b) {
-  return a.status == b.status && a.cost == b.cost && a.delay == b.delay &&
-         a.paths.paths() == b.paths.paths() &&
-         a.telemetry.cost_guess_used == b.telemetry.cost_guess_used;
-}
 
 /// Process CPU seconds (all threads) — the preemption-immune cost meter.
 double process_cpu_seconds() {
@@ -114,30 +79,21 @@ TrialReport run_closed_loop(const std::vector<api::SolveRequest>& pool,
   opt.max_pending = static_cast<std::size_t>(requests) + 1;
   server::SolveService service(opt);
 
-  std::vector<std::uint64_t> mismatches(clients, 0);
   const double cpu0 = process_cpu_seconds();
-  const auto t0 = Clock::now();
-  std::vector<std::thread> workers;
-  workers.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    workers.emplace_back([&, c] {
-      for (int r = c; r < requests; r += clients) {
+  const bench::LoadReport load = bench::fan_out(
+      clients, requests, [&](int, int r, bench::Tally& tally) {
         const std::size_t i = static_cast<std::size_t>(r) % pool.size();
         const server::ServeResponse resp = service.serve(pool[i]);
-        if (!resp.served() || !same_result(resp.result, oracle[i]))
-          ++mismatches[static_cast<std::size_t>(c)];
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
+        if (!resp.served() || !bench::same_result(resp.result, oracle[i]))
+          ++tally.mismatches;
+      });
   const double cpu = process_cpu_seconds() - cpu0;
   service.drain();
 
   TrialReport rep;
-  rep.throughput = static_cast<double>(requests) / wall;
+  rep.throughput = static_cast<double>(requests) / load.wall_seconds;
   rep.cpu_us_per_request = cpu * 1e6 / static_cast<double>(requests);
-  for (const auto m : mismatches) rep.mismatches += m;
+  rep.mismatches = load.mismatches;
   return rep;
 }
 
@@ -166,43 +122,14 @@ double measure_span_cost_ns(obs::Tracer& tracer, int iters, int reps) {
   return best_ns;
 }
 
-void write_json(const std::string& path, int requests, int pool, int n,
-                int trials, bool identical, double off_tput, double on_tput,
-                double off_cpu_us, double on_cpu_us, double span_cost_ns,
-                double spans_per_request, double overhead_ratio,
-                std::size_t spans_captured) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return;
-  }
-  out << "{\n";
-  out << "  \"experiment\": \"E17\",\n";
-  out << "  \"config\": {\"requests\": " << requests << ", \"pool\": " << pool
-      << ", \"n\": " << n << ", \"trials\": " << trials << "},\n";
-  out << "  \"identical\": " << (identical ? "true" : "false") << ",\n";
-  out << "  \"throughput_per_sec\": {\"obs_off\": " << off_tput
-      << ", \"obs_on\": " << on_tput << "},\n";
-  out << "  \"cpu_us_per_request\": {\"obs_off\": " << off_cpu_us
-      << ", \"obs_on\": " << on_cpu_us << "},\n";
-  out << "  \"span_cost_ns\": " << span_cost_ns << ",\n";
-  out << "  \"spans_per_request\": " << spans_per_request << ",\n";
-  out << "  \"spans_captured\": " << spans_captured << ",\n";
-  out << "  \"gate\": {\n";
-  // value = 1 - span_cost * spans_per_request / request_cpu (the
-  // arithmetic overhead bound; see the file header for why the
-  // end-to-end A/B is context, not the gate). 0.98 is the <2% bar.
-  out << "    \"overhead_ratio\": {\"value\": " << overhead_ratio
-      << ", \"direction\": \"higher\", \"min\": 0.98}\n";
-  out << "  }\n";
-  out << "}\n";
-  std::cout << "wrote " << path << "\n";
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: bench_obs [--requests=4800] [--pool=8] [--n=14] [--seed=21] "
+    "[--threads=1] [--clients=1] [--trials=3] [--out=BENCH_obs.json] "
+    "[--smoke]\n";
+
+int run(const krsp::util::Cli& cli) {
   const bool smoke = cli.get_bool("smoke", false);
   // Long trials beat many trials here: one 480-request arm is ~0.12 s of
   // CPU, and its per-request mean still swings ~2% run-to-run under host
@@ -220,7 +147,7 @@ int main(int argc, char** argv) {
   const std::string out_path = cli.get_string("out", "");
   cli.reject_unknown();
 
-  const auto pool = build_pool(pool_size, n, seed);
+  const auto pool = bench::er_request_pool(pool_size, n, seed);
   std::cout << "E17: obs overhead on a pool of " << pool.size()
             << " ER n=" << n << " instances, " << requests
             << " closed-loop requests x " << trials
@@ -338,12 +265,32 @@ int main(int argc, char** argv) {
 #endif
 
   const bool identical = mismatches == 0;
-  if (!out_path.empty())
-    write_json(out_path, requests, pool_size, n, trials, identical, off_best,
-               on_best, off_cpu_best, on_cpu_best, span_cost_ns,
-               spans_per_request, ratio, spans_captured);
-  else if (smoke)
-    std::cout << "(smoke run: pass --out=... to emit the gate JSON)\n";
+  bench::GateReport report(
+      "E17",
+      server::wire::ObjectWriter()
+          .field("requests", std::int64_t{requests})
+          .field("pool", std::int64_t{pool_size})
+          .field("n", std::int64_t{n})
+          .field("trials", std::int64_t{trials})
+          .done(),
+      identical);
+  report
+      .section("throughput_per_sec", server::wire::ObjectWriter()
+                                         .field("obs_off", off_best)
+                                         .field("obs_on", on_best)
+                                         .done())
+      .section("cpu_us_per_request", server::wire::ObjectWriter()
+                                         .field("obs_off", off_cpu_best)
+                                         .field("obs_on", on_cpu_best)
+                                         .done())
+      .section("span_cost_ns", span_cost_ns)
+      .section("spans_per_request", spans_per_request)
+      .section("spans_captured", static_cast<double>(spans_captured))
+      // value = 1 - span_cost * spans_per_request / request_cpu (the
+      // arithmetic overhead bound; see the file header for why the
+      // end-to-end A/B is context, not the gate). 0.98 is the <2% bar.
+      .gate("overhead_ratio", ratio, 0.98);
+  if (!report.write(out_path)) return 1;
 
   if (!identical) {
     std::cerr << "FAIL: " << mismatches
@@ -354,4 +301,8 @@ int main(int argc, char** argv) {
   std::cout << "all served results bit-identical with observability on and "
                "off\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -4,8 +4,6 @@
 // delay/D + cost/C_LP across random instances with tightening budgets.
 // Lemma 5 predicts score <= 2 always; the table also cross-checks that the
 // Lagrangian bound never exceeds the true optimum.
-//
-// Usage: bench_phase1 [--trials=80] [--n=10] [--seed=3]
 #include <iostream>
 
 #include "baselines/brute_force.h"
@@ -15,9 +13,11 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage =
+    "usage: bench_phase1 [--trials=80] [--n=10] [--seed=3]\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 80));
   const int n = static_cast<int>(cli.get_int("n", 10));
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 3)));
@@ -76,4 +76,8 @@ int main(int argc, char** argv) {
                "violations; looser budgets are increasingly solved exactly "
                "by the min-cost flow alone.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -3,8 +3,6 @@
 // Small random instances (brute-force oracle feasible), both solver modes.
 // Reports the distribution of cost/C_OPT and delay/D — the paper's Lemma 3
 // bounds these by 2 and 1 (Theorem 4: 2+eps2 and 1+eps1).
-//
-// Usage: bench_quality [--trials=60] [--n=10] [--seed=1]
 #include <iostream>
 
 #include "baselines/brute_force.h"
@@ -14,9 +12,11 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage =
+    "usage: bench_quality [--trials=60] [--n=10] [--seed=1]\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 60));
   const int n = static_cast<int>(cli.get_int("n", 10));
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
@@ -96,4 +96,8 @@ int main(int argc, char** argv) {
                "max d/D <= 1 (exact) / 1+eps (scaled); most instances "
                "solved to optimality.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

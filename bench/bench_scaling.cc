@@ -5,8 +5,6 @@
 //   (b) wall time vs weight magnitude at fixed n — the pseudo-polynomial
 //       exact-weights core degrades with the cost range while the scaled
 //       solver stays flat (its state space depends on k*n/eps only).
-//
-// Usage: bench_scaling [--trials=5] [--seed=6]
 #include <iostream>
 
 #include "core/solver.h"
@@ -36,8 +34,9 @@ util::Stats run_mode(core::SolverOptions::Mode mode,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage = "usage: bench_scaling [--trials=5] [--seed=6]\n";
+
+int run(const krsp::util::Cli& cli) {
   const int trials = static_cast<int>(cli.get_int("trials", 5));
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 6)));
   cli.reject_unknown();
@@ -98,4 +97,8 @@ int main(int argc, char** argv) {
                "mode grows with W (pseudo-polynomial budget dimension) "
                "while the scaled mode flattens once scaling engages.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -5,10 +5,6 @@
 // api::Solver::solve of the same request, so the serving numbers cannot
 // come from cut corners.
 //
-// Usage: bench_serving [--requests=96] [--pool=8] [--n=14] [--seed=21]
-//                      [--threads=0] [--clients=6]
-//                      [--out=BENCH_serving.json] [--smoke]
-//
 // Phases:
 //   calibrate — direct solves of the request pool measure the mean cold
 //               solve time; capacity := threads / mean_service_time.
@@ -28,16 +24,15 @@
 // scripts/check_bench.py against the committed BENCH_serving.json.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/krsp.h"
+#include "harness.h"
 #include "server/service.h"
 #include "util/cli.h"
-#include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -46,69 +41,17 @@ namespace {
 using namespace krsp;
 using Clock = std::chrono::steady_clock;
 
-std::vector<api::SolveRequest> build_pool(int pool_size, int n,
-                                          std::uint64_t seed) {
-  std::vector<api::SolveRequest> pool;
-  pool.reserve(pool_size);
-  util::Rng rng(seed);
-  while (static_cast<int>(pool.size()) < pool_size) {
-    api::RandomInstanceOptions io;
-    io.k = 2 + static_cast<int>(pool.size() % 2);
-    io.delay_slack = 0.25;
-    auto inst = api::random_er_instance(rng, n, 0.35, io);
-    if (!inst) continue;
-    api::SolveRequest req;
-    req.instance = std::move(*inst);
-    req.mode = pool.size() % 2 == 0 ? api::Mode::kExactWeights
-                                    : api::Mode::kScaled;
-    req.tag = "pool-" + std::to_string(pool.size());
-    pool.push_back(std::move(req));
-  }
-  return pool;
-}
-
-bool same_result(const api::SolveResult& a, const api::SolveResult& b) {
-  return a.status == b.status && a.cost == b.cost && a.delay == b.delay &&
-         a.paths.paths() == b.paths.paths() &&
-         a.telemetry.cost_guess_used == b.telemetry.cost_guess_used;
-}
-
-struct PhaseReport {
-  util::Stats latency_ms;
-  std::uint64_t served = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t mismatches = 0;
-  double wall_seconds = 0.0;
-
-  [[nodiscard]] double rejection_rate() const {
-    const auto total = served + rejected;
-    return total == 0 ? 0.0
-                      : static_cast<double>(rejected) /
-                            static_cast<double>(total);
-  }
-};
-
 /// Open-loop load: `requests` arrivals at `rate`/s spread round-robin
 /// over `clients` threads; request r uses pool[r % pool] and, when it is
 /// served, is compared against oracle[r % pool].
-PhaseReport run_open_loop(server::SolveService& service,
-                          const std::vector<api::SolveRequest>& pool,
-                          const std::vector<api::SolveResult>& oracle,
-                          int requests, int clients, double rate) {
-  struct WorkerReport {
-    std::vector<double> latency_ms;
-    std::uint64_t served = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t mismatches = 0;
-  };
-  std::vector<WorkerReport> reports(clients);
+bench::LoadReport run_open_loop(server::SolveService& service,
+                                const std::vector<api::SolveRequest>& pool,
+                                const std::vector<api::SolveResult>& oracle,
+                                int requests, int clients, double rate) {
   const auto start = Clock::now() + std::chrono::milliseconds(20);
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      WorkerReport& rep = reports[c];
-      for (int r = c; r < requests; r += clients) {
+  return bench::fan_out(
+      clients, requests,
+      [&](int, int r, bench::Tally& tally) {
         const auto arrival =
             start + std::chrono::duration_cast<Clock::duration>(
                         std::chrono::duration<double>(
@@ -118,80 +61,27 @@ PhaseReport run_open_loop(server::SolveService& service,
         const server::ServeResponse resp = service.serve(pool[i]);
         // Latency from the scheduled arrival: a backed-up service is
         // charged for the wait, as a real client would experience it.
-        rep.latency_ms.push_back(std::chrono::duration<double, std::milli>(
-                                     Clock::now() - arrival)
-                                     .count());
+        tally.latency_ms.push_back(std::chrono::duration<double, std::milli>(
+                                       Clock::now() - arrival)
+                                       .count());
         if (!resp.served()) {
-          ++rep.rejected;
-          continue;
+          ++tally.rejected;
+          return;
         }
-        ++rep.served;
-        if (!same_result(resp.result, oracle[i])) ++rep.mismatches;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  PhaseReport total;
-  total.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  for (const auto& rep : reports) {
-    total.served += rep.served;
-    total.rejected += rep.rejected;
-    total.mismatches += rep.mismatches;
-    for (const double x : rep.latency_ms) total.latency_ms.add(x);
-  }
-  return total;
-}
-
-void write_json(const std::string& path, int requests, int pool, int n,
-                int threads, bool identical, const PhaseReport& nominal,
-                const PhaseReport& overload, double cache_speedup,
-                double hit_rate) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return;
-  }
-  const double served_total =
-      static_cast<double>(nominal.served + nominal.rejected);
-  const double nominal_served_frac =
-      served_total == 0.0 ? 0.0
-                          : static_cast<double>(nominal.served) / served_total;
-  out << "{\n";
-  out << "  \"experiment\": \"E14\",\n";
-  out << "  \"config\": {\"requests\": " << requests << ", \"pool\": " << pool
-      << ", \"n\": " << n << ", \"threads\": " << threads << "},\n";
-  out << "  \"identical\": " << (identical ? "true" : "false") << ",\n";
-  out << "  \"latency_ms\": {\"nominal_p50\": "
-      << nominal.latency_ms.percentile(50.0)
-      << ", \"nominal_p95\": " << nominal.latency_ms.percentile(95.0)
-      << ", \"nominal_p99\": " << nominal.latency_ms.percentile(99.0)
-      << "},\n";
-  out << "  \"throughput_per_sec\": {\"nominal\": "
-      << static_cast<double>(nominal.served) / nominal.wall_seconds << "},\n";
-  out << "  \"cache_hit_rate\": " << hit_rate << ",\n";
-  out << "  \"gate\": {\n";
-  out << "    \"nominal_served_frac\": {\"value\": " << nominal_served_frac
-      << ", \"direction\": \"higher\", \"min\": 1.0},\n";
-  out << "    \"overload_rejection_rate\": {\"value\": "
-      << overload.rejection_rate()
-      << ", \"direction\": \"higher\", \"min\": 0.02},\n";
-  // Saturate the recorded speedup: a cache hit is a pure lookup, so past
-  // ~20x the ratio only measures miss-side cost noise (observed 34x-251x
-  // run to run on the same host). Saturation keeps the drift comparison
-  // against the committed baseline meaningful; the 5x floor is the bar.
-  out << "    \"cache_speedup\": {\"value\": " << std::min(cache_speedup, 20.0)
-      << ", \"direction\": \"higher\", \"min\": 5.0}\n";
-  out << "  }\n";
-  out << "}\n";
-  std::cout << "wrote " << path << "\n";
+        ++tally.served;
+        if (!bench::same_result(resp.result, oracle[i])) ++tally.mismatches;
+      },
+      start);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: bench_serving [--requests=96] [--pool=8] [--n=14] "
+    "[--seed=21] [--threads=0] [--clients=6] [--out=BENCH_serving.json] "
+    "[--smoke]\n";
+
+int run(const krsp::util::Cli& cli) {
   const bool smoke = cli.get_bool("smoke", false);
   const int requests =
       static_cast<int>(cli.get_int("requests", smoke ? 32 : 96));
@@ -203,7 +93,7 @@ int main(int argc, char** argv) {
   const std::string out_path = cli.get_string("out", "");
   cli.reject_unknown();
 
-  const auto pool = build_pool(pool_size, n, seed);
+  const auto pool = bench::er_request_pool(pool_size, n, seed);
   std::cout << "E14: serving layer on a pool of " << pool.size()
             << " ER n=" << n << " instances, " << requests
             << " requests per load phase (hardware "
@@ -238,7 +128,7 @@ int main(int argc, char** argv) {
   bool all_identical = true;
 
   // --- nominal: 0.5x capacity, queue deep enough that nothing is shed.
-  PhaseReport nominal;
+  bench::LoadReport nominal;
   {
     api::ServerOptions opt = base;
     opt.max_pending = static_cast<std::size_t>(requests) + 1;
@@ -250,7 +140,7 @@ int main(int argc, char** argv) {
   all_identical = all_identical && nominal.mismatches == 0;
 
   // --- overload: 4x capacity into a tiny queue; admission must shed.
-  PhaseReport overload;
+  bench::LoadReport overload;
   {
     api::ServerOptions opt = base;
     opt.max_pending = static_cast<std::size_t>(worker_threads) + 2;
@@ -283,7 +173,7 @@ int main(int argc, char** argv) {
     for (int pass = 0; pass < 2; ++pass)
       for (std::size_t i = 0; i < pool.size(); ++i) {
         const server::ServeResponse resp = service.serve(pool[i]);
-        if (!resp.served() || !same_result(resp.result, oracle[i]))
+        if (!resp.served() || !bench::same_result(resp.result, oracle[i]))
           ++cache_mismatches;
         if (resp.cache_hit != (pass == 1)) ++cache_mismatches;
         (resp.cache_hit ? hit_ms : miss_ms).add(resp.total_seconds * 1e3);
@@ -300,7 +190,8 @@ int main(int argc, char** argv) {
 
   util::Table table({"phase", "served", "rejected", "p50 ms", "p95 ms",
                      "p99 ms", "reject rate"});
-  const auto phase_row = [&](const char* name, const PhaseReport& rep) {
+  const auto phase_row = [&](const char* name,
+                             const bench::LoadReport& rep) {
     table.row()
         .cell(name)
         .cell(static_cast<std::int64_t>(rep.served))
@@ -320,11 +211,37 @@ int main(int argc, char** argv) {
                "fraction) remain meaningful while absolute throughput "
                "does not.\n";
 
-  if (out_path.empty() && smoke)
-    std::cout << "(smoke run: pass --out=... to emit the gate JSON)\n";
-  if (!out_path.empty())
-    write_json(out_path, requests, pool_size, n, worker_threads,
-               all_identical, nominal, overload, cache_speedup, hit_rate);
+  bench::GateReport report(
+      "E14",
+      server::wire::ObjectWriter()
+          .field("requests", std::int64_t{requests})
+          .field("pool", std::int64_t{pool_size})
+          .field("n", std::int64_t{n})
+          .field("threads", std::int64_t{worker_threads})
+          .done(),
+      all_identical);
+  report
+      .section("latency_ms",
+               server::wire::ObjectWriter()
+                   .field("nominal_p50", nominal.latency_ms.percentile(50.0))
+                   .field("nominal_p95", nominal.latency_ms.percentile(95.0))
+                   .field("nominal_p99", nominal.latency_ms.percentile(99.0))
+                   .done())
+      .section("throughput_per_sec",
+               server::wire::ObjectWriter()
+                   .field("nominal", static_cast<double>(nominal.served) /
+                                         nominal.wall_seconds)
+                   .done())
+      .section("cache_hit_rate", hit_rate)
+      .gate("nominal_served_frac", nominal.served_frac(), 1.0)
+      .gate("overload_rejection_rate", overload.rejection_rate(), 0.02)
+      // Saturate the recorded speedup: a cache hit is a pure lookup, so
+      // past ~20x the ratio only measures miss-side cost noise (observed
+      // 34x-251x run to run on the same host). Saturation keeps the drift
+      // comparison against the committed baseline meaningful; the 5x
+      // floor is the bar.
+      .gate("cache_speedup", std::min(cache_speedup, 20.0), 5.0);
+  if (!report.write(out_path)) return 1;
 
   if (!all_identical) {
     std::cerr << "FAIL: served results diverged from direct solves ("
@@ -344,4 +261,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "all served results bit-identical to direct solves\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -6,8 +6,6 @@
 // its SLA. The static kRSP delay guarantee should translate into simulated
 // SLA attainment for the strict classes where delay-blind provisioning
 // fails.
-//
-// Usage: bench_simulation [--trials=12] [--n=20] [--seed=10]
 #include <iostream>
 
 #include "baselines/flow_only.h"
@@ -69,8 +67,10 @@ void run_one(const core::Instance& inst, const core::PathSet& paths,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: bench_simulation [--trials=12] [--n=20] [--seed=10]\n";
+
+int run(const krsp::util::Cli& cli) {
   const int trials = static_cast<int>(cli.get_int("trials", 12));
   const int n = static_cast<int>(cli.get_int("n", 20));
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 10)));
@@ -127,4 +127,8 @@ int main(int argc, char** argv) {
                "the slowest path (where the delay-blind flow parks its "
                "high-delay leftovers).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

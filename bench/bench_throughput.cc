@@ -3,9 +3,6 @@
 // ablation. Every engine run is checked bit-identical to the sequential
 // baseline, so the numbers cannot come from cut corners.
 //
-// Usage: bench_throughput [--requests=64] [--n=16] [--seed=12]
-//                         [--threads=1,2,4,8] [--smoke]
-//
 // --smoke shrinks everything for CI: a small batch at 1 and 2 threads,
 // still asserting bit-identity and workspace reuse.
 #include <chrono>
@@ -70,8 +67,11 @@ bool identical(const std::vector<api::SolveResult>& a,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: bench_throughput [--requests=64] [--n=16] [--seed=12] "
+    "[--threads=1,2,4,8] [--smoke]\n";
+
+int run(const krsp::util::Cli& cli) {
   const bool smoke = cli.get_bool("smoke", false);
   const int requests =
       static_cast<int>(cli.get_int("requests", smoke ? 12 : 64));
@@ -145,4 +145,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "all engine runs bit-identical to sequential baseline\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

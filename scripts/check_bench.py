@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Perf-regression gate for gated-benchmark JSON (E13 kernel, E14 serving).
+"""Perf-regression gate for gated-benchmark JSON: E13 kernel, E14 serving,
+E15 chaos serving, E16 catalog, E17 observability, E18 fleet.
 
 Usage: check_bench.py BASELINE.json FRESH.json [--tolerance=0.25]
 
-BASELINE is a committed BENCH_*.json (BENCH_kernel.json, BENCH_serving.json);
-FRESH is the JSON a CI run just emitted (e.g. bench_kernel --smoke
---out=FRESH.json). Any benchmark emitting the same shape — a top-level
-"identical" bool plus a "gate" object of {value, direction, min/max}
-metrics — can use this gate. It fails (exit 1) when any of the following
+BASELINE is a committed BENCH_*.json (BENCH_kernel.json, BENCH_serving.json,
+BENCH_chaos_serving.json, BENCH_catalog.json, BENCH_obs.json,
+BENCH_fleet.json); FRESH is the JSON a CI run just emitted (e.g.
+bench_kernel --smoke --out=FRESH.json), written by bench/harness.h. Any
+benchmark emitting the same shape — a top-level "identical" bool plus a
+"gate" object of {value, direction, min/max} metrics — can use this gate. It fails (exit 1) when any of the following
 holds:
 
   * the fresh run was not bit-identical — a correctness failure, not a

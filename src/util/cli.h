@@ -2,16 +2,19 @@
 //
 // Supports `--name=value`, `--name value`, and boolean `--name`. Unknown
 // flags, positional arguments and malformed numbers are a UsageError so
-// typos in experiment scripts fail loudly; a tool that catches it can
-// print its usage line and exit 2 instead of aborting.
+// typos in experiment scripts fail loudly. Program mains go through
+// run_main, which turns a UsageError into the usage line and exit 2.
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace krsp::util {
@@ -107,5 +110,26 @@ class Cli {
   std::map<std::string, std::string> values_;
   mutable std::vector<std::string> touched_;
 };
+
+/// A program's main: parses the command line and returns `body(cli)`. A
+/// bad command line (UsageError) prints its message and `usage` to stderr
+/// and returns 2; any other exception prints its message and returns 1.
+/// Nothing escapes to terminate.
+template <typename Body>
+int run_main(int argc, const char* const* argv, std::string_view usage,
+             Body&& body) {
+  std::string_view name = argc > 0 ? argv[0] : "";
+  name.remove_prefix(name.rfind('/') + 1);  // npos + 1 == 0
+  try {
+    const Cli cli(argc, argv);
+    return body(cli);
+  } catch (const UsageError& e) {
+    std::cerr << name << ": " << e.what() << "\n" << usage;
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << name << ": " << e.what() << "\n";
+    return 1;
+  }
+}
 
 }  // namespace krsp::util

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "core/repair.h"
 #include "core/solver.h"
@@ -109,22 +110,72 @@ TEST(CycleCancel, ExpiredDeadlineReturnsValidAnytimePaths) {
 
 TEST(Solver, ExpiredDeadlineWalksTheLadderNeverHangs) {
   const auto inst = two_route_tension();
-  const core::KrspSolver solver(exact_options());
+  for (const auto mode : {core::SolverOptions::Mode::kExactWeights,
+                          core::SolverOptions::Mode::kScaled}) {
+    core::SolverOptions options;
+    options.mode = mode;
+    const core::KrspSolver solver(options);
 
-  const auto full = solver.solve(inst);
-  ASSERT_TRUE(full.has_paths());
-  EXPECT_EQ(full.telemetry.degradation, core::DegradationStep::kNone);
-  EXPECT_FALSE(full.telemetry.deadline_expired);
-  EXPECT_EQ(full.cost, 12);  // pricey fast route
+    const auto full = solver.solve(inst);
+    ASSERT_TRUE(full.has_paths());
+    EXPECT_EQ(full.telemetry.degradation, core::DegradationStep::kNone);
+    EXPECT_FALSE(full.telemetry.deadline_expired);
+    EXPECT_EQ(full.cost, 12);  // pricey fast route
 
-  const auto cut =
-      solver.solve(inst, util::Deadline::after_seconds(1e-9));
-  ASSERT_TRUE(cut.has_paths());
-  EXPECT_TRUE(cut.telemetry.deadline_expired);
-  EXPECT_NE(cut.telemetry.degradation, core::DegradationStep::kNone);
-  // The anytime result is still structurally valid and delay-feasible.
-  EXPECT_TRUE(cut.paths.is_valid(inst));
-  EXPECT_LE(cut.delay, inst.delay_bound);
+    // An already-expired deadline stops the guess search before its first
+    // guess, in either mode: the certified phase-1 alternative is served.
+    const auto cut =
+        solver.solve(inst, util::Deadline::after_seconds(1e-9));
+    ASSERT_TRUE(cut.has_paths());
+    EXPECT_TRUE(cut.telemetry.deadline_expired);
+    EXPECT_EQ(cut.telemetry.degradation,
+              core::DegradationStep::kPhase1Feasible);
+    EXPECT_TRUE(cut.telemetry.used_feasible_fallback);
+    EXPECT_EQ(cut.telemetry.guess_attempts, 0);
+    // The anytime result is still structurally valid and delay-feasible.
+    EXPECT_TRUE(cut.paths.is_valid(inst));
+    EXPECT_LE(cut.delay, inst.delay_bound);
+  }
+}
+
+TEST(Solver, DeadlineCutAfterAGuessReportsTheModesOwnStep) {
+  // Deadlines swept across the guess search: wherever one lands, a cut
+  // search that kept a successful guess reports its own mode's step, and
+  // one that kept none serves F_hi. Which deadlines cut where is timing;
+  // the mapping from outcome to step is not.
+  util::Rng rng(41);
+  core::RandomInstanceOptions io;
+  io.k = 2;
+  io.delay_slack = 0.1;
+  for (int draw = 0; draw < 3; ++draw) {
+    const auto inst = core::random_er_instance(rng, 24, 0.25, io);
+    ASSERT_TRUE(inst.has_value());
+    for (const auto& [mode, partial] :
+         {std::pair{core::SolverOptions::Mode::kExactWeights,
+                    core::DegradationStep::kExactPartial},
+          std::pair{core::SolverOptions::Mode::kScaled,
+                    core::DegradationStep::kScaledResult}}) {
+      core::SolverOptions options;
+      options.mode = mode;
+      const core::KrspSolver solver(options);
+      for (const double seconds : {1e-5, 1e-4, 3e-4, 1e-3, 3e-3}) {
+        const auto r =
+            solver.solve(*inst, util::Deadline::after_seconds(seconds));
+        ASSERT_TRUE(r.has_paths());
+        const auto step = r.telemetry.degradation;
+        if (step == core::DegradationStep::kNone) continue;
+        EXPECT_TRUE(r.telemetry.deadline_expired);
+        if (r.telemetry.cost_guess_used > 0) {
+          EXPECT_EQ(step, partial) << "deadline " << seconds << " s";
+        } else {
+          EXPECT_EQ(step, core::DegradationStep::kPhase1Feasible)
+              << "deadline " << seconds << " s";
+          EXPECT_TRUE(r.telemetry.used_feasible_fallback);
+        }
+        EXPECT_LE(r.delay, audited_delay_cap(*inst, options));
+      }
+    }
+  }
 }
 
 TEST(Solver, ScaledModeRespectsSharedDeadline) {

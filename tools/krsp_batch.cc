@@ -54,10 +54,16 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage =
+    "usage: krsp_batch --instances=<a.kri,b.kri,...> [--repeat=1] "
+    "[--threads=0] [--mode=scaled|exact|phase1] [--eps1=0.25] "
+    "[--eps2=0.25] [--eps=0.25] [--deadline=<seconds>] "
+    "[--guess=binary|doubling] [--no-reuse] [--trace-out=<file>] "
+    "[--trace-sample=1] [--quiet]\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
   using Clock = std::chrono::steady_clock;
-  const util::Cli cli(argc, argv);
   const std::vector<std::string> files =
       split_csv(cli.get_string("instances", ""));
   const int repeat = cli.get_int("repeat", 1);
@@ -75,12 +81,7 @@ int main(int argc, char** argv) {
   cli.reject_unknown();
 
   if (files.empty() || repeat < 1) {
-    std::cerr << "usage: krsp_batch --instances=<a.kri,b.kri,...> "
-                 "[--repeat=1] [--threads=0] [--mode=scaled|exact|phase1] "
-                 "[--eps1=0.25] [--eps2=0.25] [--eps=0.25] "
-                 "[--deadline=<seconds>] [--guess=binary|doubling] "
-                 "[--no-reuse] [--trace-out=<file>] [--trace-sample=1] "
-                 "[--quiet]\n";
+    std::cerr << kUsage;
     return 2;
   }
   if (!trace_out.empty()) {
@@ -202,4 +203,8 @@ int main(int argc, char** argv) {
   // Non-zero exit only for failures the caller should not ignore;
   // infeasible instances are a valid answer, not an error.
   return by_status.count("failed") > 0 ? 1 : 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -18,9 +18,13 @@
 #include "store/container.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage =
+    "usage: krsp_gen [--family=er|waxman|grid|layered|isp|ba|chains] "
+    "[--n=20] [--k=2] [--slack=0.3] [--seed=1] [--attach=2] [--core=8] "
+    "[--regions=4] [--region-size=5] [--out=instance.kri|instance.krspb]\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
   const std::string family = cli.get_string("family", "er");
   const int n = static_cast<int>(cli.get_int("n", 20));
   const int k = static_cast<int>(cli.get_int("k", 2));
@@ -78,4 +82,8 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << out << (binary ? " (container)" : "") << ": "
             << inst->summary() << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -51,40 +51,41 @@ int info(const std::string& path) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+constexpr const char* kUsage =
+    "usage: krsp_pack --in=<file> --out=<file> | --info=<file.krspb> | "
+    "--verify=<file.krspb>\n";
+
+int run(const util::Cli& cli) {
   const std::string in = cli.get_string("in", "");
   const std::string out = cli.get_string("out", "");
   const std::string info_path = cli.get_string("info", "");
   const std::string verify_path = cli.get_string("verify", "");
   cli.reject_unknown();
 
-  try {
-    if (!info_path.empty()) return info(info_path);
-    if (!verify_path.empty()) {
-      const store::CsrContainer c = store::CsrContainer::open(verify_path);
-      std::cout << "ok: " << verify_path << " n=" << c.num_vertices()
-                << " m=" << c.num_edges() << " digest=" << hex64(c.digest())
-                << "\n";
-      return 0;
-    }
-    if (in.empty() || out.empty()) {
-      std::cerr << "usage: krsp_pack --in=<file> --out=<file> | "
-                   "--info=<file.krspb> | --verify=<file.krspb>\n";
-      return 2;
-    }
-    const core::Instance inst = is_container(in)
-                                    ? store::CsrContainer::open(in).instance()
-                                    : core::read_instance_file(in);
-    if (is_container(out)) {
-      store::CsrContainer::write_file(out, inst);
-    } else {
-      core::write_instance_file(out, inst);
-    }
-    std::cout << "wrote " << out << ": " << inst.summary() << "\n";
+  if (!info_path.empty()) return info(info_path);
+  if (!verify_path.empty()) {
+    const store::CsrContainer c = store::CsrContainer::open(verify_path);
+    std::cout << "ok: " << verify_path << " n=" << c.num_vertices()
+              << " m=" << c.num_edges() << " digest=" << hex64(c.digest())
+              << "\n";
     return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "krsp_pack: " << e.what() << "\n";
-    return 1;
   }
+  if (in.empty() || out.empty()) {
+    std::cerr << kUsage;
+    return 2;
+  }
+  const core::Instance inst = is_container(in)
+                                  ? store::CsrContainer::open(in).instance()
+                                  : core::read_instance_file(in);
+  if (is_container(out)) {
+    store::CsrContainer::write_file(out, inst);
+  } else {
+    core::write_instance_file(out, inst);
+  }
+  std::cout << "wrote " << out << ": " << inst.summary() << "\n";
+  return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -51,9 +51,15 @@ void on_signal(int) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage =
+    "usage: krsp_router --socket=<path>|--tcp=<port> --shards=ep1,ep2,... "
+    "[--catalog=<dir>] [--vnodes=128] [--probe-interval-ms=200] "
+    "[--mark-down-after=3] [--mark-up-after=2] [--forward-timeout-ms=0] "
+    "[--forward-retries=0] [--drain-wait-ms=5000] [--quiet]  (exactly one "
+    "of --socket / --tcp; shard endpoints are socket paths or host:port)\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
   const std::string socket_path = cli.get_string("socket", "");
   const std::int64_t tcp_port = cli.get_int("tcp", -1);
   const std::string shards_arg = cli.get_string("shards", "");
@@ -82,13 +88,7 @@ int main(int argc, char** argv) {
     if (!spec.empty()) endpoints.push_back(server::Endpoint::parse(spec));
   if (socket_path.empty() == !use_tcp || tcp_port > 65535 ||
       endpoints.empty() || options.vnodes < 1) {
-    std::cerr << "usage: krsp_router --socket=<path>|--tcp=<port> "
-                 "--shards=ep1,ep2,... [--catalog=<dir>] [--vnodes=128] "
-                 "[--probe-interval-ms=200] [--mark-down-after=3] "
-                 "[--mark-up-after=2] [--forward-timeout-ms=0] "
-                 "[--forward-retries=0] [--drain-wait-ms=5000] [--quiet]  "
-                 "(exactly one of --socket / --tcp; shard endpoints are "
-                 "socket paths or host:port)\n";
+    std::cerr << kUsage;
     return 2;
   }
 
@@ -182,4 +182,8 @@ int main(int argc, char** argv) {
     std::cout << w.done() << "\n" << std::flush;
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -78,9 +78,16 @@ void class_stats_fields(krsp::server::wire::ObjectWriter& w,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+constexpr const char* kUsage =
+    "usage: krsp_serve --socket=<path>|--tcp=<port> [--catalog=<dir>] "
+    "[--threads=0] [--max-pending=256] [--max-pending-batch=0] "
+    "[--degrade-wait=0] [--overload-eps-factor=2] [--overload-eps-cap=1] "
+    "[--cache-capacity=1024] [--cache-shards=8] [--no-cache] "
+    "[--no-deadline-admission] [--no-reuse] [--trace-out=FILE] "
+    "[--trace-sample=1] [--quiet]  (exactly one of --socket / --tcp)\n";
+
+int run(const krsp::util::Cli& cli) {
   using namespace krsp;
-  const util::Cli cli(argc, argv);
   const std::string socket_path = cli.get_string("socket", "");
   const std::int64_t tcp_port = cli.get_int("tcp", -1);
   const std::string catalog_dir = cli.get_string("catalog", "");
@@ -107,14 +114,7 @@ int main(int argc, char** argv) {
 
   const bool use_tcp = tcp_port >= 0;
   if (socket_path.empty() == !use_tcp || tcp_port > 65535) {
-    std::cerr << "usage: krsp_serve --socket=<path>|--tcp=<port> "
-                 "[--catalog=<dir>] "
-                 "[--threads=0] [--max-pending=256] [--max-pending-batch=0] "
-                 "[--degrade-wait=0] [--overload-eps-factor=2] "
-                 "[--overload-eps-cap=1] [--cache-capacity=1024] "
-                 "[--cache-shards=8] [--no-cache] [--no-deadline-admission] "
-                 "[--no-reuse] [--trace-out=FILE] [--trace-sample=1] "
-                 "[--quiet]  (exactly one of --socket / --tcp)\n";
+    std::cerr << kUsage;
     return 2;
   }
 
@@ -243,4 +243,8 @@ int main(int argc, char** argv) {
       std::cout << "krsp_serve: wrote trace to " << trace_out << "\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }

@@ -22,37 +22,26 @@
 
 namespace {
 
+using namespace krsp;
+
 constexpr const char* kUsage =
     "usage: krsp_solve --instance=<file> [--mode=scaled|exact|phase1] "
     "[--eps1=0.25] [--eps2=0.25] [--eps=0.25] [--deadline=<seconds>] "
     "[--guess=binary|doubling] [--out=<file>] [--trace-out=<file>] "
     "[--verbose]\n";
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace krsp;
-  std::string path, mode, guess, out, trace_out;
-  double eps1 = 0.0, eps2 = 0.0, deadline = 0.0;
-  bool verbose = false;
-  // Bad command lines exit 2 with the usage line, never abort.
-  try {
-    const util::Cli cli(argc, argv);
-    path = cli.get_string("instance", "");
-    mode = cli.get_string("mode", "scaled");
-    const double eps = cli.get_double("eps", 0.25);  // back-compat alias
-    eps1 = cli.get_double("eps1", eps);
-    eps2 = cli.get_double("eps2", eps);
-    deadline = cli.get_double("deadline", 0.0);
-    guess = cli.get_string("guess", "binary");
-    out = cli.get_string("out", "");
-    trace_out = cli.get_string("trace-out", "");
-    verbose = cli.get_bool("verbose", false);
-    cli.reject_unknown();
-  } catch (const util::UsageError& e) {
-    std::cerr << "krsp_solve: " << e.what() << "\n" << kUsage;
-    return 2;
-  }
+int run(const util::Cli& cli) {
+  const std::string path = cli.get_string("instance", "");
+  const std::string mode = cli.get_string("mode", "scaled");
+  const double eps = cli.get_double("eps", 0.25);  // back-compat alias
+  const double eps1 = cli.get_double("eps1", eps);
+  const double eps2 = cli.get_double("eps2", eps);
+  const double deadline = cli.get_double("deadline", 0.0);
+  const std::string guess = cli.get_string("guess", "binary");
+  const std::string out = cli.get_string("out", "");
+  const std::string trace_out = cli.get_string("trace-out", "");
+  const bool verbose = cli.get_bool("verbose", false);
+  cli.reject_unknown();
 
   if (path.empty()) {
     std::cerr << kUsage;
@@ -61,18 +50,13 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) obs::Tracer::global().enable();
 
   api::SolveRequest request;
-  // An unreadable or malformed instance file is an input error: print its
-  // (positioned) message and exit 1.
+  // An unreadable or malformed instance file is an input error, exit 1;
+  // run_main prints a malformed file's positioned message.
   if (!std::ifstream(path).good()) {
     std::cerr << "krsp_solve: cannot open for read: " << path << "\n";
     return 1;
   }
-  try {
-    request.instance = api::read_instance_file(path);
-  } catch (const std::exception& e) {
-    std::cerr << "krsp_solve: " << e.what() << "\n";
-    return 1;
-  }
+  request.instance = api::read_instance_file(path);
   std::cout << "instance: " << request.instance.summary() << "\n";
 
   if (mode == "scaled") {
@@ -157,4 +141,10 @@ int main(int argc, char** argv) {
     std::cout << "wrote trace " << trace_out << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_main(argc, argv, kUsage, run);
 }
